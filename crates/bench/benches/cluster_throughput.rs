@@ -3,11 +3,16 @@
 //! server — the heaviest realistic per-server policy — behind the
 //! power-aware router.
 //!
-//! This tracks the binary-heap event loop's scalability: the per-request
-//! cost must stay near-flat as servers multiply, because the loop touches
-//! only the globally earliest server per event (stale heap entries are
-//! skipped in O(log n)). Requests scale with the fleet so every size serves
-//! the same per-server load.
+//! This tracks the event loop's scalability: the per-request cost must
+//! stay near-flat as servers multiply, because the loop touches only the
+//! globally earliest server per event (stale heap entries are skipped in
+//! O(log n)) and the keyed router reads its choice from the driver's route
+//! index instead of scanning the fleet. Requests scale with the fleet so
+//! every size serves the same per-server load.
+//!
+//! Only the run is timed: seeding every server's Rubik tables and building
+//! the `Cluster` happen in the `iter_batched` setup, outside the
+//! measurement.
 //!
 //! Results merge into `BENCH_controller.json` like the other controller
 //! benches, and a summary (per-fleet-size median wall time and requests/s)
@@ -19,7 +24,7 @@
 //! server; `RUBIK_BENCH_SAMPLE_MS` / `RUBIK_BENCH_SAMPLES` are the usual
 //! criterion smoke knobs.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use rubik::cluster::{fleet_trace, PowerAware};
 use rubik::{AppProfile, Cluster, RubikConfig, RubikController, SimConfig, Trace};
@@ -37,8 +42,14 @@ fn requests_per_server() -> usize {
         .unwrap_or(30)
 }
 
-fn run_fleet(config: &SimConfig, trace: &Trace, fleet: usize, bound: f64) -> f64 {
-    let cluster = Cluster::new(
+/// Seeds one Rubik controller per server and builds the fleet (untimed).
+fn build_fleet(
+    config: &SimConfig,
+    trace: &Trace,
+    fleet: usize,
+    bound: f64,
+) -> Cluster<RubikController> {
+    Cluster::new(
         config.clone(),
         fleet,
         Box::new(PowerAware::default()),
@@ -50,7 +61,11 @@ fn run_fleet(config: &SimConfig, trace: &Trace, fleet: usize, bound: f64) -> f64
                 256,
             )
         },
-    );
+    )
+}
+
+/// Serves the trace through a built fleet (timed).
+fn run_fleet(cluster: Cluster<RubikController>, trace: &Trace) -> f64 {
     let outcome = cluster.run(trace);
     assert_eq!(outcome.requests, trace.len());
     outcome.fleet_energy // checksum so the run cannot be optimized away
@@ -66,7 +81,11 @@ fn bench_cluster_throughput(c: &mut Criterion) {
     for fleet in FLEETS {
         let trace = fleet_trace(&profile, LOAD, fleet, per_server * fleet, 2015);
         group.bench_with_input(BenchmarkId::new("servers", fleet), &fleet, |b, &fleet| {
-            b.iter(|| run_fleet(&config, &trace, fleet, bound))
+            b.iter_batched(
+                || build_fleet(&config, &trace, fleet, bound),
+                |cluster| run_fleet(cluster, &trace),
+                BatchSize::PerIteration,
+            )
         });
     }
     group.finish();
@@ -75,8 +94,8 @@ fn bench_cluster_throughput(c: &mut Criterion) {
 }
 
 /// Distills the group's results into the `"cluster_throughput"` section of
-/// `BENCH_cluster.json`: per-fleet-size median wall time and request
-/// throughput.
+/// `BENCH_cluster.json`: per-fleet-size median run time (construction
+/// excluded) and request throughput, with the host's parallelism.
 fn write_cluster_summary(c: &Criterion, per_server: usize) {
     let mut entries = Vec::new();
     for fleet in FLEETS {
@@ -94,10 +113,12 @@ fn write_cluster_summary(c: &Criterion, per_server: usize) {
     if entries.is_empty() {
         return;
     }
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let section = format!(
         "{{\n    \"load_per_server\": {LOAD},\n    \"requests_per_server\": {per_server},\n    \
          \"router\": \"power-aware\",\n    \"policy\": \"rubik-per-server\",\n    \
-         \"fleets\": [\n{}\n    ]\n  }}",
+         \"timed\": \"run only (controller seeding and cluster construction excluded)\",\n    \
+         \"host_parallelism\": {host},\n    \"fleets\": [\n{}\n    ]\n  }}",
         entries.join(",\n")
     );
     if let Err(e) = rubik_bench::merge_bench_section(CLUSTER_JSON, "cluster_throughput", &section) {

@@ -35,6 +35,7 @@ use crate::fault::{FaultLayer, FaultPlan, HedgeResolution, OpKind, RequestPolicy
 use crate::fleet::{EpochMeter, FleetCommand, FleetController, FleetSpec, ServerPowerView};
 use crate::migrate::{Migration, Migrator};
 use crate::outcome::ClusterOutcome;
+use crate::route_index::RouteIndex;
 use crate::router::{Router, ServerHealth, ServerView};
 use rubik_telemetry::{
     EpochSample, RequestEvent, RequestEventKind, ServerEvent, ServerEventKind, ServerSample,
@@ -517,13 +518,15 @@ impl<P: DvfsPolicy> Cluster<P> {
     ) -> Result<(ClusterOutcome, Vec<RunResult>, Option<TraceLog>), ClusterError> {
         let n = self.servers.len();
         // One view per server, maintained incrementally: only a stepped or
-        // offered server's view changes, so routing stays O(fleet) in reads
-        // but O(events) — not O(arrivals × fleet) — in writes.
+        // offered server's view changes, so view writes are O(events) — not
+        // O(arrivals × fleet). A keyed router also gets a route index fed
+        // by the same writes, making each decision O(changed · log fleet).
         let mut loop_state = EventLoop::new(
             std::mem::take(&mut self.servers),
             shard_count,
             std::mem::take(&mut self.capacities),
             std::mem::take(&mut self.classes),
+            self.router.as_ref(),
         );
         // The fault/lifecycle layer exists only when something was attached;
         // without it every drain takes the pre-existing unwatched path. (An
@@ -663,7 +666,7 @@ impl<P: DvfsPolicy> Cluster<P> {
             // server's engine to order against the arrival itself.
             loop_state.drain(request.arrival, pool, layer.as_mut(), &mut tele);
 
-            let target = self.router.route(&request, &loop_state.views);
+            let target = loop_state.route(self.router.as_mut(), &request);
             assert!(
                 target < n,
                 "router {} chose server {target} of a {n}-server fleet",
@@ -1060,7 +1063,12 @@ struct EventLoop<P: DvfsPolicy> {
     shards: Vec<Shard<P>>,
     /// Global server index → owning shard.
     owner: Vec<u32>,
+    /// Written only by `schedule` and the sharded barrier refresh, which
+    /// both report the write to `route_index`.
     views: Vec<ServerView>,
+    /// The keyed router's choice, maintained from view writes; `None` for
+    /// unkeyed routers, which scan `views` on every decision instead.
+    route_index: Option<RouteIndex>,
     capacities: Vec<f64>,
     classes: Vec<u32>,
     healths: Vec<ServerHealth>,
@@ -1072,13 +1080,14 @@ struct EventLoop<P: DvfsPolicy> {
 
 impl<P: DvfsPolicy> EventLoop<P> {
     /// Partitions `servers` into `shard_count` contiguous balanced blocks
-    /// (clamped to the fleet size) and seeds each shard's heap and every
-    /// router view.
+    /// (clamped to the fleet size) and seeds each shard's heap, every
+    /// router view, and — if `router` is keyed — the route index.
     fn new(
         servers: Vec<ServerSim<P>>,
         shard_count: usize,
         capacities: Vec<f64>,
         classes: Vec<u32>,
+        router: &dyn Router,
     ) -> Self {
         let n = servers.len();
         let k = shard_count.clamp(1, n.max(1));
@@ -1116,6 +1125,7 @@ impl<P: DvfsPolicy> EventLoop<P> {
             shards,
             owner,
             views: Vec::with_capacity(n),
+            route_index: None,
             capacities,
             classes,
             healths: vec![ServerHealth::Up; n],
@@ -1126,6 +1136,7 @@ impl<P: DvfsPolicy> EventLoop<P> {
             let view = state.view_of(i);
             state.views.push(view);
         }
+        state.route_index = RouteIndex::new(router, &state.views);
         state
     }
 
@@ -1171,12 +1182,29 @@ impl<P: DvfsPolicy> EventLoop<P> {
         }
     }
 
+    /// Rewrites server `i`'s router view and reports the write to the
+    /// route index.
+    fn refresh_view(&mut self, i: usize) {
+        self.views[i] = self.view_of(i);
+        if let Some(index) = self.route_index.as_mut() {
+            index.mark_changed(i);
+        }
+    }
+
+    /// Chooses the destination for `request` against the live views: from
+    /// the route index for a keyed router, by calling `route` otherwise.
+    fn route(&mut self, router: &mut dyn Router, request: &RequestSpec) -> usize {
+        match self.route_index.as_mut() {
+            Some(index) => index.choose(router, &self.views),
+            None => router.route(request, &self.views),
+        }
+    }
+
     /// Re-registers server `i` after its state changed: refreshes its router
     /// view, advances its stamp (invalidating any entry already in its
     /// shard's heap), and pushes its current next-event time, if any.
     fn schedule(&mut self, i: usize) {
-        let view = self.view_of(i);
-        self.views[i] = view;
+        self.refresh_view(i);
         let shard = &mut self.shards[self.owner[i] as usize];
         let local = i - shard.base;
         shard.stamps[local] += 1;
@@ -1307,8 +1335,7 @@ impl<P: DvfsPolicy> EventLoop<P> {
             }
             let dirty = std::mem::take(&mut self.shards[s].dirty);
             for &i in &dirty {
-                let view = self.view_of(i as usize);
-                self.views[i as usize] = view;
+                self.refresh_view(i as usize);
             }
             let mut dirty = dirty;
             dirty.clear();
@@ -1480,7 +1507,7 @@ fn run_faults<P: DvfsPolicy>(
                     // Stealing pops the FIFO back-to-front; re-routing in
                     // reverse preserves arrival order across the receivers.
                     for spec in stranded.into_iter().rev() {
-                        let target = router.route(&spec, &state.views);
+                        let target = state.route(router, &spec);
                         state.server_mut(target).inject(now, spec);
                         layer.requeued(spec.id, op.server, target);
                         tele.request_event(
@@ -1551,7 +1578,7 @@ fn run_faults<P: DvfsPolicy>(
     // this very instant. The router sees live (post-fault) views; wrap it
     // in `HealthAware` to keep retries off down or straggling servers.
     while let Some((spec, attempt)) = layer.pop_due_retry(now) {
-        let target = router.route(&spec, &state.views);
+        let target = state.route(router, &spec);
         state.server_mut(target).inject(now, spec);
         layer.on_routed(spec, target, attempt, now);
         tele.request_event(

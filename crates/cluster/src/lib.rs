@@ -20,7 +20,10 @@
 //! * [`Router`] — the load-balancing policy, with [`RoundRobin`],
 //!   [`JoinShortestQueue`], and [`PowerAware`] (routes on each server's
 //!   live occupancy, capacity weight, and DVFS operating point)
-//!   implementations, plus the [`Passthrough`] identity router,
+//!   implementations, plus the [`Passthrough`] identity router. Routers
+//!   that pick the best server by a per-server [`RouteKey`] are served
+//!   from the driver's [`RouteIndex`], re-keying only the servers that
+//!   changed since the last decision instead of scanning the fleet,
 //! * [`FleetSpec`] — heterogeneous fleets: named core classes (big/little),
 //!   each with its own `SimConfig` and a capacity weight,
 //! * [`FleetController`] / [`PegasusFleet`] — fleet-level power capping on a
@@ -422,6 +425,7 @@ mod fault;
 mod fleet;
 mod migrate;
 mod outcome;
+mod route_index;
 mod router;
 mod topology;
 
@@ -432,9 +436,10 @@ pub use fleet::{
 };
 pub use migrate::{Migration, Migrator, ThresholdMigrator};
 pub use outcome::{AvailabilityStats, ClassTotals, ClusterOutcome, ServerOutcome};
+pub use route_index::RouteIndex;
 pub use router::{
-    HealthAware, JoinShortestQueue, Passthrough, PowerAware, RoundRobin, Router, ServerHealth,
-    ServerView,
+    HealthAware, JoinShortestQueue, Passthrough, PowerAware, RoundRobin, RouteKey, Router,
+    ServerHealth, ServerView,
 };
 pub use rubik_load::{ArrivalSource, TraceSource};
 pub use rubik_telemetry::{Telemetry, TraceLog};

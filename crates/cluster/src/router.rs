@@ -2,11 +2,41 @@
 //!
 //! A [`Router`] picks the destination server for each arriving request. It
 //! sees one [`ServerView`] per server — a cheap summary of the server's
-//! current state (occupancy and DVFS operating point) refreshed by the
-//! [`Cluster`](crate::Cluster) driver immediately before each routing
-//! decision. Routers may keep internal state (e.g. the round-robin cursor)
-//! but must be deterministic: the same request/view sequence must produce
-//! the same choices, or cluster runs stop being reproducible.
+//! current state (occupancy and DVFS operating point). The
+//! [`Cluster`](crate::Cluster) driver keeps the views current: a server's
+//! view is rewritten whenever the server is stepped or handed work, so at
+//! every routing decision each view reflects everything that server has
+//! processed so far. Routers may keep internal state (e.g. the round-robin
+//! cursor) but must be deterministic: the same request/view sequence must
+//! produce the same choices, or cluster runs stop being reproducible.
+//!
+//! # Keyed routers
+//!
+//! A router whose choice is "the best server by some per-server score" can
+//! say so through [`Router::route_key`]. The contract:
+//!
+//! * **Pure.** The key is a function of the view and the router's
+//!   immutable configuration only. It must not read `view.index` (ties are
+//!   broken by index outside the key) and must not depend on other servers'
+//!   views or on earlier calls.
+//! * **All or none.** A router returns `Some` for every view or `None` for
+//!   every view.
+//! * **Minimum equals `route`.** For any view slice, [`Router::route`]
+//!   returns the index of the view with the smallest `(key, index)` pair.
+//!
+//! The driver then skips `route` entirely: it keeps a
+//! [`RouteIndex`](crate::RouteIndex) over the fleet, re-keys only the
+//! servers whose views changed since the last decision, and reads the
+//! minimum off the index — O(changed · log n) per arrival instead of O(n).
+//! The driver decides once per run, from the first server's key, which
+//! path it takes. [`JoinShortestQueue`], [`PowerAware`], and
+//! [`HealthAware`] over either of them are keyed; [`RoundRobin`] and
+//! [`Passthrough`] are not, and keep the scanning `route` call.
+//!
+//! Wrappers must forward `route_key` to stay on the indexed path. A
+//! wrapper that implements only `name` and `route` (e.g. a timing probe)
+//! inherits the default `None` and silently gets the scan: correct, the
+//! same choices bit for bit, just O(n) per arrival again.
 
 use rubik_power::CorePowerModel;
 use rubik_sim::{Freq, RequestSpec};
@@ -85,7 +115,68 @@ impl ServerView {
     }
 }
 
+/// An ordered per-server routing score (see [`Router::route_key`]):
+/// smaller is better, compared lexicographically.
+///
+/// Build one from integers with [`RouteKey::new`] or from floats with
+/// [`RouteKey::from_f64`], which maps each `f64` to order-preserving bits so
+/// keys sort exactly as [`f64::total_cmp`] does. Wrappers such as
+/// [`HealthAware`] prepend a demotion flag with [`RouteKey::prefixed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RouteKey {
+    /// Flags prepended by wrappers, most recent in the top bit. After 32
+    /// nested prefixes the innermost ones shift out.
+    flags: u32,
+    primary: u64,
+    secondary: u64,
+}
+
+impl RouteKey {
+    /// A key ordered by `primary`, then `secondary`.
+    pub const fn new(primary: u64, secondary: u64) -> Self {
+        Self {
+            flags: 0,
+            primary,
+            secondary,
+        }
+    }
+
+    /// A key ordered by `primary`, then `secondary`, each under
+    /// [`f64::total_cmp`].
+    pub fn from_f64(primary: f64, secondary: f64) -> Self {
+        Self::new(ordered_bits(primary), ordered_bits(secondary))
+    }
+
+    /// This key with `flag` prepended as its most significant component:
+    /// every key prefixed with `true` sorts after every key prefixed with
+    /// `false`.
+    pub const fn prefixed(self, flag: bool) -> Self {
+        Self {
+            flags: (self.flags >> 1) | ((flag as u32) << 31),
+            ..self
+        }
+    }
+}
+
+/// Maps an `f64` to a `u64` whose unsigned order is [`f64::total_cmp`]'s
+/// order: negative values have every bit flipped, non-negative values get
+/// the sign bit set.
+fn ordered_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
 /// A load-balancing policy for a [`Cluster`](crate::Cluster).
+///
+/// Only [`name`](Router::name) and [`route`](Router::route) are required.
+/// A router that picks the best server by a per-server score should also
+/// implement [`route_key`](Router::route_key), which lets the driver route
+/// from an incrementally maintained index instead of calling `route` with
+/// the whole fleet.
 pub trait Router {
     /// Human-readable name used in experiment output.
     fn name(&self) -> &str;
@@ -94,6 +185,25 @@ pub trait Router {
     /// `request`. `servers` holds one view per server, in index order, and
     /// is never empty.
     fn route(&mut self, request: &RequestSpec, servers: &[ServerView]) -> usize;
+
+    /// The server's routing key, if this router is keyed.
+    ///
+    /// A keyed router promises that `route` returns the view with the
+    /// smallest `(route_key(view), view.index)`, that the key depends only
+    /// on the view (never on `view.index`) and the router's immutable
+    /// configuration, and that it returns `Some` for every view or `None`
+    /// for every view. The driver then never calls `route`: it reads the
+    /// minimum from a [`RouteIndex`](crate::RouteIndex) that re-keys only
+    /// changed servers.
+    ///
+    /// The default, `None`, keeps the driver calling `route` with every
+    /// view. A wrapper router that does not forward this method therefore
+    /// silently takes that scanning path — the same choices, at O(fleet)
+    /// per decision.
+    fn route_key(&self, view: &ServerView) -> Option<RouteKey> {
+        let _ = view;
+        None
+    }
 }
 
 /// Sends every request to server 0 — the identity router.
@@ -149,6 +259,10 @@ impl JoinShortestQueue {
     pub fn new() -> Self {
         Self
     }
+
+    fn key(view: &ServerView) -> RouteKey {
+        RouteKey::new(view.in_flight as u64, 0)
+    }
 }
 
 impl Router for JoinShortestQueue {
@@ -161,8 +275,12 @@ impl Router for JoinShortestQueue {
         // fall back to 0 rather than panicking if a caller hands us less.
         servers
             .iter()
-            .min_by_key(|v| (v.in_flight, v.index))
+            .min_by_key(|v| (Self::key(v), v.index))
             .map_or(0, |v| v.index)
+    }
+
+    fn route_key(&self, view: &ServerView) -> Option<RouteKey> {
+        Some(Self::key(view))
     }
 }
 
@@ -195,6 +313,15 @@ impl PowerAware {
     pub fn new(power: CorePowerModel) -> Self {
         Self { power }
     }
+
+    /// Capacity-normalized occupancy, then the core's active power at its
+    /// current frequency.
+    fn key(&self, view: &ServerView) -> RouteKey {
+        RouteKey::from_f64(
+            view.effective_load(),
+            self.power.active_power(view.current_freq),
+        )
+    }
 }
 
 impl Default for PowerAware {
@@ -211,16 +338,12 @@ impl Router for PowerAware {
     fn route(&mut self, _request: &RequestSpec, servers: &[ServerView]) -> usize {
         servers
             .iter()
-            .min_by(|a, b| {
-                (a.effective_load().total_cmp(&b.effective_load()))
-                    .then_with(|| {
-                        self.power
-                            .active_power(a.current_freq)
-                            .total_cmp(&self.power.active_power(b.current_freq))
-                    })
-                    .then_with(|| a.index.cmp(&b.index))
-            })
+            .min_by_key(|v| (self.key(v), v.index))
             .map_or(0, |v| v.index)
+    }
+
+    fn route_key(&self, view: &ServerView) -> Option<RouteKey> {
+        Some(self.key(view))
     }
 }
 
@@ -240,6 +363,11 @@ impl Router for PowerAware {
 /// server index. On an all-healthy fleet the filtered slice equals the
 /// full slice, and the wrapper is behaviourally identical to the inner
 /// router (pinned in `tests/fault_properties.rs`).
+///
+/// Over a keyed inner router the wrapper is keyed too: it prepends an
+/// "unroutable" flag to the inner key, so the minimum lands on the inner
+/// router's choice among healthy servers when one exists and on its choice
+/// over the whole fleet when none does — the same fallback as `route`.
 #[derive(Debug)]
 pub struct HealthAware<R> {
     inner: R,
@@ -290,6 +418,12 @@ impl<R: Router> Router for HealthAware<R> {
         }
         let choice = self.inner.route(request, &self.scratch);
         self.map[choice.min(self.map.len() - 1)]
+    }
+
+    fn route_key(&self, view: &ServerView) -> Option<RouteKey> {
+        self.inner
+            .route_key(view)
+            .map(|key| key.prefixed(!view.health.routable()))
     }
 }
 

@@ -17,22 +17,48 @@
 //! this is the regression test for the unbounded sorted-`Vec` tracker, whose
 //! per-completion `insert` made allocations (and work) scale with the total
 //! completion count.
+//!
+//! A keyed router's route index is pinned the same way: on a 256-server
+//! `PowerAware` fleet, the keyed run's allocation growth from 512 to 4096
+//! requests may not exceed that of the same cluster behind a forward-only
+//! wrapper (which scans and so allocates nothing to route), so the index
+//! allocates only when it is built.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use rubik_cluster::{Cluster, JoinShortestQueue, RequestPolicy};
+use rubik_cluster::{Cluster, JoinShortestQueue, PowerAware, RequestPolicy, Router, ServerView};
 use rubik_load::PoissonSource;
-use rubik_sim::{FixedFrequencyPolicy, SimConfig};
+use rubik_sim::{FixedFrequencyPolicy, RequestSpec, SimConfig};
 use rubik_workloads::AppProfile;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Counting per thread keeps
+    /// the tests of this binary, which the harness runs in parallel, from
+    /// counting each other's allocations; every measured region runs on
+    /// its test's own thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down, when the counter may already be gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting only touches a
+// const-initialized thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -41,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -68,11 +94,11 @@ fn allocations_for_streamed_run(requests: usize) -> u64 {
     let config = SimConfig::paper_simulated();
     let cluster = cluster(&config);
     let source = source(requests);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let outcome = cluster
         .run_streamed(source)
         .expect("a Poisson source is time-ordered");
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(outcome.requests, requests);
     after - before
 }
@@ -92,11 +118,11 @@ fn allocations_for_hedged_run(requests: usize) -> u64 {
         .with_jitter_seed(7);
     let cluster = cluster(&config).with_request_policy(policy);
     let source = source(requests);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let outcome = cluster
         .run_streamed(source)
         .expect("a Poisson source is time-ordered");
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(outcome.requests, requests);
     after - before
 }
@@ -135,5 +161,61 @@ fn hedged_streamed_allocations_do_not_scale_with_request_count() {
     assert!(
         large < small + 160,
         "hedged run_streamed allocations grew with request count: {small} -> {large}"
+    );
+}
+
+/// Forwards only `name` and `route`, hiding the router's key so the driver
+/// scans the views instead of building a route index.
+struct ScanOnly(PowerAware);
+
+impl Router for ScanOnly {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn route(&mut self, request: &RequestSpec, servers: &[ServerView]) -> usize {
+        self.0.route(request, servers)
+    }
+}
+
+const WIDE_FLEET: usize = 256;
+
+fn allocations_for_wide_run(router: Box<dyn Router>, requests: usize) -> u64 {
+    let config = SimConfig::paper_simulated();
+    let cluster = Cluster::new(config.clone(), WIDE_FLEET, router, |_| {
+        FixedFrequencyPolicy::new(config.dvfs.nominal())
+    });
+    let source = PoissonSource::new(
+        AppProfile::masstree(),
+        0.5 * WIDE_FLEET as f64,
+        requests,
+        42,
+    );
+    let before = allocations();
+    let outcome = cluster
+        .run_streamed(source)
+        .expect("a Poisson source is time-ordered");
+    let after = allocations();
+    assert_eq!(outcome.requests, requests);
+    after - before
+}
+
+#[test]
+fn route_index_allocates_only_at_construction() {
+    let keyed = |requests| allocations_for_wide_run(Box::new(PowerAware::default()), requests);
+    let scanned =
+        |requests| allocations_for_wide_run(Box::new(ScanOnly(PowerAware::default())), requests);
+    // Warm-up run (fills allocator pools, faults in code paths).
+    let _ = keyed(512);
+
+    let keyed_growth = keyed(4096).saturating_sub(keyed(512));
+    let scanned_growth = scanned(4096).saturating_sub(scanned(512));
+
+    // Both runs simulate the same thing, so per-server record growth is
+    // identical; any extra growth would be the index allocating per arrival.
+    assert!(
+        keyed_growth <= scanned_growth,
+        "route index allocations grew with request count: \
+         {keyed_growth} keyed vs {scanned_growth} scanned"
     );
 }
