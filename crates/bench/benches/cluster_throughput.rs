@@ -12,17 +12,21 @@
 //!
 //! Only the run is timed: seeding every server's Rubik tables and building
 //! the `Cluster` happen in the `iter_batched` setup, outside the
-//! measurement.
+//! measurement. That setup is timed on its own as the construction layer:
+//! controller seeding (table builds, shared across servers with the same
+//! profile) plus `Cluster::new`, per fleet size.
 //!
 //! Results merge into `BENCH_controller.json` like the other controller
-//! benches, and a summary (per-fleet-size median wall time and requests/s)
-//! is merged into the `"cluster_throughput"` section of
-//! `BENCH_cluster.json` (shared with the `fleet_cap` bench) for later PRs
-//! to regress against.
+//! benches, and a summary (per-fleet-size median run time, requests/s and
+//! median construction time) is merged into the `"cluster_throughput"`
+//! section of `BENCH_cluster.json` (shared with the `fleet_cap` bench) for
+//! later PRs to regress against.
 //!
 //! Env knobs: `RUBIK_CLUSTER_BENCH_REQUESTS` (default 30) sets requests per
 //! server; `RUBIK_BENCH_SAMPLE_MS` / `RUBIK_BENCH_SAMPLES` are the usual
 //! criterion smoke knobs.
+
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
@@ -77,12 +81,20 @@ fn bench_cluster_throughput(c: &mut Criterion) {
     let bound = 3.0 * profile.mean_service_time();
     let per_server = requests_per_server();
 
+    // Construction time of every fleet built in the setup, per fleet size.
+    let mut construction_ns: Vec<Vec<f64>> = vec![Vec::new(); FLEETS.len()];
     let mut group = c.benchmark_group("cluster_throughput");
-    for fleet in FLEETS {
+    for (k, fleet) in FLEETS.into_iter().enumerate() {
         let trace = fleet_trace(&profile, LOAD, fleet, per_server * fleet, 2015);
+        let built = &mut construction_ns[k];
         group.bench_with_input(BenchmarkId::new("servers", fleet), &fleet, |b, &fleet| {
             b.iter_batched(
-                || build_fleet(&config, &trace, fleet, bound),
+                || {
+                    let started = Instant::now();
+                    let cluster = build_fleet(&config, &trace, fleet, bound);
+                    built.push(started.elapsed().as_nanos() as f64);
+                    cluster
+                },
                 |cluster| run_fleet(cluster, &trace),
                 BatchSize::PerIteration,
             )
@@ -90,23 +102,28 @@ fn bench_cluster_throughput(c: &mut Criterion) {
     }
     group.finish();
 
-    write_cluster_summary(c, per_server);
+    write_cluster_summary(c, per_server, &mut construction_ns);
 }
 
 /// Distills the group's results into the `"cluster_throughput"` section of
 /// `BENCH_cluster.json`: per-fleet-size median run time (construction
-/// excluded) and request throughput, with the host's parallelism.
-fn write_cluster_summary(c: &Criterion, per_server: usize) {
+/// excluded), request throughput and median construction time, with the
+/// host's parallelism.
+fn write_cluster_summary(c: &Criterion, per_server: usize, construction_ns: &mut [Vec<f64>]) {
     let mut entries = Vec::new();
-    for fleet in FLEETS {
+    for (fleet, built) in FLEETS.into_iter().zip(construction_ns) {
         let id = format!("cluster_throughput/servers/{fleet}");
         if let Some(r) = c.results().iter().find(|r| r.id == id) {
             let requests = per_server * fleet;
             let rps = requests as f64 / (r.median_ns * 1e-9);
+            built.sort_by(f64::total_cmp);
+            let construct = built[built.len() / 2];
             entries.push(format!(
                 "      {{\"servers\": {fleet}, \"requests\": {requests}, \
-                 \"median_ns\": {:.1}, \"requests_per_sec\": {rps:.1}}}",
-                r.median_ns
+                 \"median_ns\": {:.1}, \"requests_per_sec\": {rps:.1}, \
+                 \"construction_median_ns\": {construct:.1}, \"constructions\": {}}}",
+                r.median_ns,
+                built.len()
             ));
         }
     }
@@ -118,6 +135,7 @@ fn write_cluster_summary(c: &Criterion, per_server: usize) {
         "{{\n    \"load_per_server\": {LOAD},\n    \"requests_per_server\": {per_server},\n    \
          \"router\": \"power-aware\",\n    \"policy\": \"rubik-per-server\",\n    \
          \"timed\": \"run only (controller seeding and cluster construction excluded)\",\n    \
+         \"construction\": \"controller seeding + Cluster::new, timed per setup\",\n    \
          \"host_parallelism\": {host},\n    \"fleets\": [\n{}\n    ]\n  }}",
         entries.join(",\n")
     );

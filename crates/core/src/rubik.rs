@@ -32,6 +32,15 @@
 //! identical tables, so skipping changes no output bit.
 //! [`RubikStats::table_rebuilds_performed`] /
 //! [`RubikStats::table_rebuilds_skipped`] count the two cases.
+//!
+//! The tables live behind an `Arc`. The first build (seeding) goes through
+//! the thread's registry of live builds, so controllers seeded from the
+//! same profile share one table pair and the fleet pays for one build (see
+//! [`crate::tables`], "Sharing"). Rebuilds write through `Arc::make_mut`:
+//! the first divergent rebuild of a shared table copies it once, and every
+//! later rebuild of that controller happens in place with no allocation.
+
+use std::sync::Arc;
 
 use rubik_sim::{DvfsConfig, DvfsPolicy, Freq, PolicyDecision, RequestRecord, ServerState, Trace};
 use rubik_stats::{Histogram, RollingTailTracker};
@@ -164,14 +173,20 @@ pub struct RubikStats {
 }
 
 /// The Rubik fine-grain DVFS controller.
+///
+/// `Clone` shares the tail tables with the original; either copy's first
+/// performed rebuild gives it its own.
 #[derive(Debug, Clone)]
 pub struct RubikController {
     config: RubikConfig,
     dvfs: DvfsConfig,
     profiler: OnlineProfiler,
-    tables: Option<TargetTailTables>,
+    /// Shared with every controller built from the same inputs until this
+    /// one's first divergent rebuild copies it.
+    tables: Option<Arc<TargetTailTables>>,
     /// Persistent build engine: cached FFT plans and reused ladder buffers
-    /// make warm rebuilds allocation-free.
+    /// make warm rebuilds allocation-free. Stays empty until the first
+    /// rebuild if seeding found its tables already built.
     builder: TableBuilder,
     /// Persistent histograms the profiler's bucket counts are materialized
     /// into on each performed rebuild.
@@ -219,8 +234,9 @@ impl RubikController {
     /// The standard experiment-harness construction: a controller seeded
     /// from the first `seed_requests` demands of `trace`. One definition so
     /// figures, benches, and equivalence tests all measure the same
-    /// controller (per-server instances in a cluster call this once per
-    /// server with the shared fleet trace).
+    /// controller. Per-server instances in a cluster call this once per
+    /// server with the shared fleet trace; on one thread, all of them then
+    /// share a single table pair, built by the first call.
     pub fn seeded_for_trace(
         config: RubikConfig,
         dvfs: DvfsConfig,
@@ -250,7 +266,7 @@ impl RubikController {
 
     /// The current target tail tables, if the model has been built.
     pub fn tables(&self) -> Option<&TargetTailTables> {
-        self.tables.as_ref()
+        self.tables.as_deref()
     }
 
     /// The external tail-latency bound `L` currently in force.
@@ -306,10 +322,10 @@ impl RubikController {
                 self.config.quantile,
                 self.config.progress_rows,
                 self.config.gaussian_cutoff,
-                tables,
+                Arc::make_mut(tables),
             ),
             None => {
-                self.tables = Some(self.builder.build_with(
+                self.tables = Some(self.builder.build_shared(
                     &self.hist_compute,
                     &self.hist_membound,
                     self.config.quantile,

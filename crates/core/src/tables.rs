@@ -70,6 +70,36 @@
 //! no-new-samples case. `crates/bench/benches/rebuild_amortized.rs` tracks
 //! all three tiers (skipped tick, warm rebuild, cold build).
 //!
+//! # Sharing: one build per distinct profile
+//!
+//! A fleet of identical servers seeds every controller from the same
+//! profile, and a build is a pure function of its inputs: the compute and
+//! memory histograms, the quantile, the row count and the cutoff. So a
+//! controller's cold build goes through a registry of live builds, and
+//! every controller with the same inputs holds the same
+//! `Arc<TargetTailTables>`. Seeding N identical servers costs one build.
+//!
+//! * **Bitwise keys.** Inputs match only if every bit matches: `to_bits`
+//!   on each bucket width, PMF value and the quantile, never `f64 ==`
+//!   (which would merge `0.0` with `-0.0`). A 64-bit hash over the same
+//!   bits is compared first, so a miss rarely touches the PMFs.
+//! * **`Weak` entries.** The registry holds a `Weak` per build, never an
+//!   `Arc`. It keeps no table alive: once the last sharer drops its tables,
+//!   the entry is dead and pruned on the next miss, and a later seed with
+//!   the same inputs builds afresh.
+//! * **Thread-local scope.** Each thread has its own registry, so there is
+//!   no lock on the seeding path. Controllers seeded on different threads
+//!   build privately; the tables are the same bits either way.
+//! * **Copy-on-write.** A controller rebuilds into `Arc::make_mut`. Its
+//!   first rebuild that diverges from its siblings copies the shared
+//!   tables once; every later rebuild writes in place, allocation-free.
+//!
+//! Sharing is always on and has no switch: it cannot change an output bit,
+//! because a shared table equals the one the controller would have built.
+//! A controller whose tables came from the registry never grows its own
+//! [`TableBuilder`] until its first warm rebuild, which also saves the
+//! builder's FFT plans and ladder buffers per server.
+//!
 //! # Lookup cost
 //!
 //! [`TargetTailTables`] caches the [`GaussianTail`] z-score at build time and
@@ -77,6 +107,9 @@
 //! decision via [`TargetTailTables::tails_at`]; a per-position lookup is then
 //! two array reads (or two fused multiply-adds past the Gaussian cutoff)
 //! with no transcendental math on the decision path.
+
+use std::cell::RefCell;
+use std::sync::{Arc, Weak};
 
 use rubik_stats::fft::{Complex, FftPlan, Spectrum};
 use rubik_stats::{GaussianTail, Histogram};
@@ -649,6 +682,129 @@ fn plan_index(plans: &mut Vec<FftPlan>, n: usize) -> usize {
             plans.push(FftPlan::new(n));
             plans.len() - 1
         }
+    }
+}
+
+/// The exact inputs of one build (see the module docs, "Sharing").
+#[derive(Debug)]
+struct BuildInputs<'a> {
+    compute: &'a Histogram,
+    memory: &'a Histogram,
+    quantile: f64,
+    rows: usize,
+    cutoff: usize,
+}
+
+impl BuildInputs<'_> {
+    /// Every input bit, as the words the hash and the comparison read.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        fn hist(h: &Histogram) -> impl Iterator<Item = u64> + '_ {
+            [h.bucket_width().to_bits(), h.pmf().len() as u64]
+                .into_iter()
+                .chain(h.pmf().iter().map(|p| p.to_bits()))
+        }
+        [
+            self.quantile.to_bits(),
+            self.rows as u64,
+            self.cutoff as u64,
+        ]
+        .into_iter()
+        .chain(hist(self.compute))
+        .chain(hist(self.memory))
+    }
+
+    /// A 64-bit hash of [`BuildInputs::words`] (FxHash's mixing step).
+    fn hash(&self) -> u64 {
+        self.words().fold(0, |h, w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+        })
+    }
+
+    /// Bitwise equality: both inputs have the same words.
+    fn same_bits(&self, other: &BuildInputs<'_>) -> bool {
+        self.words().eq(other.words())
+    }
+}
+
+/// One registry entry: a live build and the inputs it was built from.
+#[derive(Debug)]
+struct SharedBuild {
+    hash: u64,
+    compute: Histogram,
+    memory: Histogram,
+    quantile: f64,
+    rows: usize,
+    cutoff: usize,
+    tables: Weak<TargetTailTables>,
+}
+
+impl SharedBuild {
+    fn inputs(&self) -> BuildInputs<'_> {
+        BuildInputs {
+            compute: &self.compute,
+            memory: &self.memory,
+            quantile: self.quantile,
+            rows: self.rows,
+            cutoff: self.cutoff,
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's live builds. Entries hold `Weak`s, so the registry
+    /// never keeps tables alive; dead entries are pruned on each miss.
+    static SHARED_BUILDS: RefCell<Vec<SharedBuild>> = const { RefCell::new(Vec::new()) };
+}
+
+impl TableBuilder {
+    /// The tables for these inputs, shared with every live table this
+    /// thread built here from bitwise-identical inputs (see the module
+    /// docs, "Sharing"). On a miss, builds with `self` and registers the
+    /// result. Equal to [`TableBuilder::build_with`] on the same inputs.
+    /// This is the controller's cold path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quantile` is not in `(0, 1)`, or `rows`/`cutoff` are zero.
+    pub fn build_shared(
+        &mut self,
+        compute: &Histogram,
+        memory: &Histogram,
+        quantile: f64,
+        rows: usize,
+        cutoff: usize,
+    ) -> Arc<TargetTailTables> {
+        let inputs = BuildInputs {
+            compute,
+            memory,
+            quantile,
+            rows,
+            cutoff,
+        };
+        let hash = inputs.hash();
+        let hit = SHARED_BUILDS.with_borrow(|builds| {
+            builds
+                .iter()
+                .find(|b| b.hash == hash && b.inputs().same_bits(&inputs))
+                .and_then(|b| b.tables.upgrade())
+        });
+        if let Some(tables) = hit {
+            return tables;
+        }
+        let tables = Arc::new(self.build_with(compute, memory, quantile, rows, cutoff));
+        SHARED_BUILDS.with_borrow_mut(|builds| {
+            builds.retain(|b| b.tables.strong_count() > 0);
+            builds.push(SharedBuild {
+                hash,
+                compute: compute.clone(),
+                memory: memory.clone(),
+                quantile,
+                rows,
+                cutoff,
+                tables: Arc::downgrade(&tables),
+            });
+        });
+        tables
     }
 }
 

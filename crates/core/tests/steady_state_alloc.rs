@@ -8,6 +8,10 @@
 //! allocate at all. This is the structural guarantee behind the
 //! "incremental, allocation-free rebuilds" contract: the 100 ms tick costs
 //! arithmetic, never the allocator.
+//!
+//! Controllers seeded from one profile share their tables, so the same
+//! holds after a shared table's one copy-on-write, and a seed served from
+//! the shared-build registry allocates less than a cold build.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -186,4 +190,105 @@ fn version_gated_tick_allocates_nothing_and_skips() {
         "gated ticks must not allocate a byte"
     );
     assert!(rubik.stats().table_rebuilds_skipped >= 64);
+}
+
+#[test]
+fn shared_tables_copy_once_then_rebuild_without_allocating() {
+    let dvfs = DvfsConfig::haswell_like();
+    let config = RubikConfig::new(2e-3).with_profiling_window(256);
+    let mut rng = DeterministicRng::new(43);
+    let demands: Vec<(f64, f64)> = (0..64)
+        .map(|_| (rng.lognormal(1e6, 0.4), rng.lognormal(60e-6, 0.4)))
+        .collect();
+    // Two controllers seeded from one profile share one table allocation.
+    let mut fleet: Vec<RubikController> = (0..2)
+        .map(|_| {
+            let mut rubik = RubikController::new(config, dvfs.clone());
+            rubik.seed_profile(demands.iter().copied());
+            rubik
+        })
+        .collect();
+    let shared = |fleet: &[RubikController]| {
+        std::ptr::eq(fleet[0].tables().unwrap(), fleet[1].tables().unwrap())
+    };
+    assert!(shared(&fleet));
+    let snapshot = format!("{:?}", fleet[1].tables().unwrap());
+
+    let mut queue: Vec<QueuedView> = (1..4)
+        .map(|i| QueuedView {
+            id: i,
+            arrival: 0.0,
+            oracle_compute_cycles: 1e6,
+            oracle_membound_time: 60e-6,
+            class: 0,
+        })
+        .collect();
+
+    for k in 0..2 {
+        let rubik = &mut fleet[k];
+        // The first divergent rebuild copies the shared tables, so it is
+        // part of the warm-up, alongside every other buffer's growth.
+        for cycle in 0..512 {
+            drive_cycle(rubik, &dvfs, &demands, cycle, &mut queue);
+        }
+        let before_rebuilds = rubik.stats().table_rebuilds_performed;
+        let before = allocations();
+        for cycle in 512..768 {
+            drive_cycle(rubik, &dvfs, &demands, cycle, &mut queue);
+        }
+        let after = allocations();
+        assert_eq!(
+            rubik.stats().table_rebuilds_performed - before_rebuilds,
+            256,
+            "controller {k}: each steady-state tick must perform a rebuild"
+        );
+        assert_eq!(
+            after - before,
+            0,
+            "controller {k}: rebuilds after the copy must not allocate"
+        );
+        if k == 0 {
+            // The copy left the sibling's tables alone.
+            assert!(!shared(&fleet));
+            assert_eq!(format!("{:?}", fleet[1].tables().unwrap()), snapshot);
+        }
+    }
+}
+
+#[test]
+fn a_registry_hit_seed_allocates_less_than_a_cold_seed() {
+    let dvfs = DvfsConfig::haswell_like();
+    let config = RubikConfig::new(2e-3).with_profiling_window(256);
+    let mut rng = DeterministicRng::new(44);
+    let demands: Vec<(f64, f64)> = (0..128)
+        .map(|_| (rng.lognormal(1e6, 0.3), rng.lognormal(40e-6, 0.3)))
+        .collect();
+    let seed = || {
+        let mut rubik = RubikController::new(config, dvfs.clone());
+        rubik.seed_profile(demands.iter().copied());
+        rubik
+    };
+    let mut fleet = Vec::with_capacity(18);
+
+    let before = allocations();
+    fleet.push(seed());
+    let cold = allocations() - before;
+
+    let before = allocations();
+    fleet.push(seed());
+    let hit = allocations() - before;
+    assert!(
+        hit < cold,
+        "a registry hit ({hit} allocations) must allocate less than a cold build ({cold})"
+    );
+
+    for i in 0..16 {
+        let before = allocations();
+        fleet.push(seed());
+        assert_eq!(allocations() - before, hit, "hit {i} allocated differently");
+    }
+    let first = fleet[0].tables().unwrap();
+    assert!(fleet
+        .iter()
+        .all(|rubik| std::ptr::eq(rubik.tables().unwrap(), first)));
 }
