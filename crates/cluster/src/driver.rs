@@ -25,7 +25,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
 
 use rubik_load::{ArrivalSource, TraceSource};
 use rubik_power::CorePowerModel;
@@ -120,58 +119,6 @@ impl Ord for HeapEntry {
 impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// How a run is sharded across worker threads (see
-/// [`Cluster::run_sharded`]).
-///
-/// The fleet is partitioned into `shards` contiguous server blocks, each
-/// advancing on its own stamped heap between global boundaries. Shard
-/// counts are clamped to the fleet size at run time, and
-/// [`ShardSpec::single`] recovers the classic single-heap loop exactly.
-/// Sharding never changes results — every `run_sharded*` output is
-/// bit-identical to its unsharded twin — so the only tradeoff is
-/// throughput: one worker thread per extra shard, paying off once
-/// per-event work (e.g. a Rubik controller per server) dominates routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    shards: usize,
-}
-
-impl ShardSpec {
-    /// Shards the fleet `shards` ways (1 = the classic serial loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "a run needs at least one shard");
-        Self { shards }
-    }
-
-    /// One shard per available hardware thread (1 if unknown).
-    pub fn auto() -> Self {
-        Self {
-            shards: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
-    }
-
-    /// The single-shard spec: no worker threads, the classic event loop.
-    pub fn single() -> Self {
-        Self { shards: 1 }
-    }
-
-    /// The configured shard count (before clamping to the fleet size).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-}
-
-impl Default for ShardSpec {
-    /// Defaults to [`ShardSpec::auto`].
-    fn default() -> Self {
-        Self::auto()
     }
 }
 
@@ -446,7 +393,7 @@ impl<P: DvfsPolicy> Cluster<P> {
         self,
         mut source: S,
     ) -> Result<(ClusterOutcome, Vec<RunResult>), ClusterError> {
-        let (outcome, results, _) = self.run_core(&mut source, 1, None)?;
+        let (outcome, results, _) = self.run_core(&mut source)?;
         Ok((outcome, results))
     }
 
@@ -461,7 +408,7 @@ impl<P: DvfsPolicy> Cluster<P> {
         if !self.telemetry.is_enabled() {
             self.telemetry = Telemetry::recording();
         }
-        let (outcome, results, log) = self.run_core(&mut source, 1, None)?;
+        let (outcome, results, log) = self.run_core(&mut source)?;
         Ok((outcome, results, log.expect("telemetry is enabled")))
     }
 
@@ -469,21 +416,12 @@ impl<P: DvfsPolicy> Cluster<P> {
     /// [`RunResult`] (used by the equivalence suites and for per-server
     /// timelines).
     ///
-    /// # Hook ordering
-    ///
     /// The attached [`Migrator`] and [`FleetController`] run on their own
-    /// periodic clocks, interleaved with the event stream: at a boundary
-    /// time `t`, every fleet event strictly before `t` has been processed,
-    /// the migrator (if both fire at `t`) rebalances first, and the fleet
-    /// controller then observes the post-rebalance queues. Telemetry
-    /// sampling (when recording) is its own boundary and runs *last* at
-    /// equal instants, observing the post-hook fleet. Boundaries keep
-    /// firing through the post-arrival drain so a trailing backlog is still
-    /// rebalanced and capped. A cluster without hooks takes the exact code
-    /// path (and produces the exact bits) it did before hooks existed.
+    /// periodic clocks, interleaved with the event stream; the order at
+    /// equal instants is documented on the driver's `Hooks::fire`.
     pub fn run_with_results(self, trace: &Trace) -> (ClusterOutcome, Vec<RunResult>) {
         let (outcome, results, _) = self
-            .run_core(&mut TraceSource::new(trace), 1, None)
+            .run_core(&mut TraceSource::new(trace))
             .expect("a Trace is time-ordered by construction");
         (outcome, results)
     }
@@ -498,23 +436,15 @@ impl<P: DvfsPolicy> Cluster<P> {
             self.telemetry = Telemetry::recording();
         }
         let (outcome, results, log) = self
-            .run_core(&mut TraceSource::new(trace), 1, None)
+            .run_core(&mut TraceSource::new(trace))
             .expect("a Trace is time-ordered by construction");
         (outcome, results, log.expect("telemetry is enabled"))
     }
 
     /// The one event loop every public run method funnels into.
-    ///
-    /// `shard_count` partitions the fleet (1 = the classic single-heap
-    /// loop, bit-for-bit); when a [`ShardPool`] is supplied, event windows
-    /// between boundaries are drained on its worker threads whenever that
-    /// is provably equivalent to the serial order (see
-    /// [`EventLoop::drain`]).
     fn run_core<S: ArrivalSource>(
         mut self,
         source: &mut S,
-        shard_count: usize,
-        pool: Option<&ShardPool<P>>,
     ) -> Result<(ClusterOutcome, Vec<RunResult>, Option<TraceLog>), ClusterError> {
         let n = self.servers.len();
         // One view per server, maintained incrementally: only a stepped or
@@ -523,7 +453,6 @@ impl<P: DvfsPolicy> Cluster<P> {
         // by the same writes, making each decision O(changed · log fleet).
         let mut loop_state = EventLoop::new(
             std::mem::take(&mut self.servers),
-            shard_count,
             std::mem::take(&mut self.capacities),
             std::mem::take(&mut self.classes),
             self.router.as_ref(),
@@ -542,50 +471,14 @@ impl<P: DvfsPolicy> Cluster<P> {
             } else {
                 None
             };
-
-        let mut fleet = self.fleet.take();
-        let mut migrator = self.migrator.take();
-        let epoch = fleet
-            .as_deref()
-            .map_or(f64::INFINITY, FleetController::epoch);
-        let rebalance = migrator
-            .as_deref()
-            .map_or(f64::INFINITY, Migrator::interval);
-        let mut hooks = Hooks {
-            meter: EpochMeter::new(n),
-            power: self.power,
-            powers: Vec::with_capacity(n),
-            commands: Vec::new(),
-            moves: Vec::new(),
-            batch: Vec::new(),
-            // The original per-policy latency objectives: `ScaleBound`
-            // commands rescale relative to these, never compounding.
-            base_bounds: loop_state
-                .servers()
-                .map(|s| s.policy().latency_bound())
-                .collect(),
-            migrated: 0,
-        };
-
-        // Initial apportioning before any event, so a finite budget is in
-        // force from the very first request.
-        if let Some(ctl) = fleet.as_deref_mut() {
-            hooks.run_epoch(ctl, 0.0, 0.0, &mut loop_state);
-        }
-        let mut next_epoch = epoch;
-        let mut next_rebalance = rebalance;
-
-        // Telemetry sampling shares the boundary mechanism. Disabled
-        // telemetry keeps `next_sample` infinite and allocates nothing —
-        // every boundary below computes exactly as it did without the
-        // `.min(next_sample)` term. Enabled sampling only *partitions* the
-        // drains at sample instants (events are still processed in the same
-        // order), so even a recording run leaves the simulation bit-exact.
         let mut tele = std::mem::take(&mut self.telemetry);
-        let sample_epoch = tele.sample_epoch().unwrap_or(f64::INFINITY);
-        let mut tele_meter = tele.is_enabled().then(|| EpochMeter::new(n));
-        let mut tele_powers: Vec<f64> = Vec::new();
-        let mut next_sample = sample_epoch;
+        let mut hooks = Hooks::new(
+            self.migrator.take(),
+            self.fleet.take(),
+            &tele,
+            self.power,
+            &mut loop_state,
+        );
 
         // Pull arrivals lazily: the stream is consumed one request at a
         // time, so the driver's resident memory tracks in-flight work, not
@@ -612,59 +505,27 @@ impl<P: DvfsPolicy> Cluster<P> {
             last_arrival = request.arrival;
             // Run any hook boundaries at or before the arrival instant
             // (boundary actions happen *between* events; an arrival at
-            // exactly the boundary is routed after the hooks ran). Fault
-            // work — scripted ops, retry deliveries, attempt timeouts —
-            // shares the boundary mechanism and runs first at equal
-            // instants, so migration and capping observe the post-fault
-            // fleet.
+            // exactly the boundary is routed after the hooks ran).
             loop {
-                let fault_b = layer
-                    .as_ref()
-                    .map_or(f64::INFINITY, FaultLayer::next_boundary);
-                let boundary = next_rebalance.min(next_epoch).min(fault_b).min(next_sample);
+                let (boundary, fault) = hooks.next_boundary(layer.as_ref());
                 if boundary > request.arrival {
                     break;
                 }
-                loop_state.drain(boundary, pool, layer.as_mut(), &mut tele);
-                if fault_b <= boundary {
-                    let l = layer.as_mut().expect("fault boundary implies layer");
-                    run_faults(
-                        l,
-                        &mut tele,
-                        boundary,
-                        self.router.as_mut(),
-                        &mut loop_state,
-                    );
-                }
-                if next_rebalance == boundary {
-                    let m = migrator.as_deref_mut().expect("rebalance implies migrator");
-                    hooks.run_migration(m, &mut tele, boundary, &mut loop_state);
-                    next_rebalance += rebalance;
-                }
-                if next_epoch == boundary {
-                    let ctl = fleet.as_deref_mut().expect("epoch implies controller");
-                    hooks.run_epoch(ctl, boundary, epoch, &mut loop_state);
-                    next_epoch += epoch;
-                }
-                if next_sample == boundary {
-                    let meter = tele_meter.as_mut().expect("sampling implies telemetry");
-                    sample_fleet(
-                        &mut tele,
-                        meter,
-                        &mut tele_powers,
-                        boundary,
-                        &loop_state,
-                        layer.as_ref(),
-                        &hooks.power,
-                    );
-                    next_sample += sample_epoch;
-                }
+                loop_state.drain(boundary, layer.as_mut(), &mut tele);
+                hooks.fire(
+                    boundary,
+                    fault,
+                    layer.as_mut(),
+                    &mut tele,
+                    self.router.as_mut(),
+                    &mut loop_state,
+                );
             }
 
             // Process every fleet event strictly before the arrival; events
             // at exactly the arrival instant are left for the destination
             // server's engine to order against the arrival itself.
-            loop_state.drain(request.arrival, pool, layer.as_mut(), &mut tele);
+            loop_state.drain(request.arrival, layer.as_mut(), &mut tele);
 
             let target = loop_state.route(self.router.as_mut(), &request);
             assert!(
@@ -672,7 +533,7 @@ impl<P: DvfsPolicy> Cluster<P> {
                 "router {} chose server {target} of a {n}-server fleet",
                 self.router.name()
             );
-            loop_state.server_mut(target).offer(request);
+            loop_state.servers[target].offer(request);
             loop_state.schedule(target);
             if let Some(l) = layer.as_mut() {
                 l.on_routed(request, target, 1, request.arrival);
@@ -697,94 +558,54 @@ impl<P: DvfsPolicy> Cluster<P> {
         // closed server, and a late `Recover` must still be applied so
         // downtime closes out).
         for i in 0..n {
-            loop_state.server_mut(i).close();
+            loop_state.servers[i].close();
             loop_state.schedule(i);
         }
         loop {
-            let fault_b = layer
-                .as_ref()
-                .map_or(f64::INFINITY, FaultLayer::next_boundary);
-            let boundary = next_rebalance.min(next_epoch).min(fault_b).min(next_sample);
-            loop_state.drain(boundary, pool, layer.as_mut(), &mut tele);
-            if fault_b.is_infinite() && !loop_state.has_events() {
+            let (boundary, fault) = hooks.next_boundary(layer.as_ref());
+            loop_state.drain(boundary, layer.as_mut(), &mut tele);
+            if fault.is_infinite() && !loop_state.has_events() {
                 break;
             }
-            if fault_b <= boundary {
-                let l = layer.as_mut().expect("fault boundary implies layer");
-                run_faults(
-                    l,
-                    &mut tele,
-                    boundary,
-                    self.router.as_mut(),
-                    &mut loop_state,
-                );
-            }
-            if next_rebalance == boundary {
-                let m = migrator.as_deref_mut().expect("rebalance implies migrator");
-                hooks.run_migration(m, &mut tele, boundary, &mut loop_state);
-                next_rebalance += rebalance;
-            }
-            if next_epoch == boundary {
-                let ctl = fleet.as_deref_mut().expect("epoch implies controller");
-                hooks.run_epoch(ctl, boundary, epoch, &mut loop_state);
-                next_epoch += epoch;
-            }
-            if next_sample == boundary {
-                let meter = tele_meter.as_mut().expect("sampling implies telemetry");
-                sample_fleet(
-                    &mut tele,
-                    meter,
-                    &mut tele_powers,
-                    boundary,
-                    &loop_state,
-                    layer.as_ref(),
-                    &hooks.power,
-                );
-                next_sample += sample_epoch;
-            }
+            hooks.fire(
+                boundary,
+                fault,
+                layer.as_mut(),
+                &mut tele,
+                self.router.as_mut(),
+                &mut loop_state,
+            );
         }
 
         // Align every server's timeline with the fleet's end so idle/sleep
         // power is charged through the whole run: without this, a server
         // that drained early would be charged nothing while a backlogged
         // neighbour worked on, flattering imbalanced routings.
-        let end = loop_state.servers().map(ServerSim::now).fold(0.0, f64::max);
-        for shard in &mut loop_state.shards {
-            for server in &mut shard.servers {
-                server.coast_to(end);
-            }
+        let end = loop_state
+            .servers
+            .iter()
+            .map(ServerSim::now)
+            .fold(0.0, f64::max);
+        for server in &mut loop_state.servers {
+            server.coast_to(end);
         }
 
         // Close out the telemetry time series with the final (possibly
         // partial) window, so the run's whole span is covered.
-        if let Some(meter) = tele_meter.as_mut() {
-            if end > meter.last_time() {
-                sample_fleet(
-                    &mut tele,
-                    meter,
-                    &mut tele_powers,
-                    end,
-                    &loop_state,
-                    layer.as_ref(),
-                    &hooks.power,
-                );
+        if let Some(sampler) = hooks.sampler.as_mut() {
+            if end > sampler.meter.last_time() {
+                sampler.sample(&mut tele, end, &loop_state, layer.as_ref(), &hooks.power);
             }
         }
 
-        let downtimes: Vec<f64> = loop_state.servers().map(|s| s.downtime()).collect();
+        let downtimes: Vec<f64> = loop_state.servers.iter().map(|s| s.downtime()).collect();
         let EventLoop {
-            shards, classes, ..
+            servers, classes, ..
         } = loop_state;
-        // Shards are contiguous ascending blocks, so flattening them
-        // restores global server order.
-        let results: Vec<RunResult> = shards
-            .into_iter()
-            .flat_map(|shard| shard.servers)
-            .map(ServerSim::finish)
-            .collect();
+        let results: Vec<RunResult> = servers.into_iter().map(ServerSim::finish).collect();
         let mut outcome =
             ClusterOutcome::aggregate_classed(&results, Some(&classes), &self.power, self.quantile);
-        outcome.migrated_requests = hooks.migrated;
+        outcome.migrated_requests = hooks.migration.map_or(0, |m| m.migrated);
         for (server, downtime) in outcome.per_server.iter_mut().zip(&downtimes) {
             server.downtime = *downtime;
         }
@@ -796,275 +617,15 @@ impl<P: DvfsPolicy> Cluster<P> {
     }
 }
 
-impl<P: DvfsPolicy + Send> Cluster<P> {
-    /// [`Cluster::run`], sharded: partitions the fleet per `shards` and
-    /// drains event windows on worker threads, merging at every boundary
-    /// in deterministic `(time, server)` order. **Bit-identical** to
-    /// [`Cluster::run`] — outcome, per-server results, and telemetry all
-    /// carry the same bytes at any shard count (pinned by the
-    /// `shard_equivalence` suite).
-    pub fn run_sharded(self, shards: ShardSpec, trace: &Trace) -> ClusterOutcome {
-        self.run_sharded_with_results(shards, trace).0
-    }
-
-    /// [`Cluster::run_with_results`], sharded (see [`Cluster::run_sharded`]).
-    pub fn run_sharded_with_results(
-        self,
-        shards: ShardSpec,
-        trace: &Trace,
-    ) -> (ClusterOutcome, Vec<RunResult>) {
-        let (outcome, results, _) = self
-            .run_sharded_core(&mut TraceSource::new(trace), shards.shards())
-            .expect("a Trace is time-ordered by construction");
-        (outcome, results)
-    }
-
-    /// [`Cluster::run_traced`], sharded (see [`Cluster::run_sharded`]).
-    pub fn run_sharded_traced(
-        mut self,
-        shards: ShardSpec,
-        trace: &Trace,
-    ) -> (ClusterOutcome, Vec<RunResult>, TraceLog) {
-        if !self.telemetry.is_enabled() {
-            self.telemetry = Telemetry::recording();
-        }
-        let (outcome, results, log) = self
-            .run_sharded_core(&mut TraceSource::new(trace), shards.shards())
-            .expect("a Trace is time-ordered by construction");
-        (outcome, results, log.expect("telemetry is enabled"))
-    }
-
-    /// [`Cluster::run_streamed`], sharded: pulls arrivals lazily from any
-    /// [`ArrivalSource`] while draining event windows on worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::OutOfOrderArrival`] if the source yields
-    /// arrivals out of time order.
-    pub fn run_sharded_streamed<S: ArrivalSource>(
-        self,
-        shards: ShardSpec,
-        source: S,
-    ) -> Result<ClusterOutcome, ClusterError> {
-        Ok(self.run_sharded_streamed_with_results(shards, source)?.0)
-    }
-
-    /// [`Cluster::run_streamed_with_results`], sharded (see
-    /// [`Cluster::run_sharded_streamed`]).
-    pub fn run_sharded_streamed_with_results<S: ArrivalSource>(
-        self,
-        shards: ShardSpec,
-        mut source: S,
-    ) -> Result<(ClusterOutcome, Vec<RunResult>), ClusterError> {
-        let (outcome, results, _) = self.run_sharded_core(&mut source, shards.shards())?;
-        Ok((outcome, results))
-    }
-
-    /// Spawns the worker pool (one thread per shard beyond the first, which
-    /// the driver thread drains itself) and runs the shared core loop.
-    /// Workers live for the whole run inside a [`std::thread::scope`], so
-    /// non-`'static` policies work and a mid-run error still joins them.
-    fn run_sharded_core<S: ArrivalSource>(
-        self,
-        source: &mut S,
-        shard_count: usize,
-    ) -> Result<(ClusterOutcome, Vec<RunResult>, Option<TraceLog>), ClusterError> {
-        let k = shard_count.clamp(1, self.servers.len().max(1));
-        if k <= 1 {
-            return self.run_core(source, 1, None);
-        }
-        std::thread::scope(|scope| {
-            let mut workers = Vec::with_capacity(k - 1);
-            for _ in 1..k {
-                let (task_tx, task_rx) = mpsc::channel::<Task<P>>();
-                let (done_tx, done_rx) = mpsc::channel::<Shard<P>>();
-                scope.spawn(move || worker_loop(task_rx, done_tx));
-                workers.push(WorkerHandle {
-                    tasks: task_tx,
-                    done: done_rx,
-                });
-            }
-            let pool = ShardPool { workers };
-            self.run_core(source, k, Some(&pool))
-        })
-    }
-}
-
-/// A completion observed during an off-thread shard drain, replayed to the
-/// fault layer at the barrier in global `(time, server)` order.
-#[derive(Debug, Clone, Copy)]
-struct CompletionNote {
-    at: f64,
-    server: usize,
-    id: u64,
-    latency: f64,
-}
-
-/// One shard of the fleet: a contiguous block of servers
-/// `[base, base + servers.len())` with its own stamped heap. Between
-/// global boundaries a shard's events are independent of every other
-/// shard's, so shards drain concurrently; `dirty` and `notes` carry the
-/// side effects (router-view refreshes, fault-layer completions) back to
-/// the driver thread for deterministic barrier replay.
-struct Shard<P: DvfsPolicy> {
-    base: usize,
-    servers: Vec<ServerSim<P>>,
-    stamps: Vec<u64>,
-    /// Heap entries carry *global* server indices, so merged serial drains
-    /// order identically to the single-heap loop.
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-    /// Global indices of servers stepped during an off-thread drain, in
-    /// step order (duplicates allowed; view refresh is idempotent).
-    dirty: Vec<u32>,
-    /// Completions observed during an off-thread drain, in step order —
-    /// which within one shard is already `(time, server)` order.
-    notes: Vec<CompletionNote>,
-}
-
-impl<P: DvfsPolicy> Default for Shard<P> {
-    /// An empty placeholder, swapped in while the real shard is away on a
-    /// worker thread.
-    fn default() -> Self {
-        Self {
-            base: 0,
-            servers: Vec::new(),
-            stamps: Vec::new(),
-            heap: BinaryHeap::new(),
-            dirty: Vec::new(),
-            notes: Vec::new(),
-        }
-    }
-}
-
-impl<P: DvfsPolicy> Shard<P> {
-    /// The earliest still-valid event in this shard, as `(time, global
-    /// server index)`. Pops stale entries on the way — safe, because a
-    /// stale entry is never processed by any drain order.
-    fn peek_due(&mut self) -> Option<(f64, usize)> {
-        while let Some(&Reverse(entry)) = self.heap.peek() {
-            if entry.stamp == self.stamps[entry.server - self.base] {
-                return Some((entry.time, entry.server));
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Steps this shard's events in `(time, server)` order while they lie
-    /// strictly before `limit`, recording stepped servers in `dirty` and
-    /// (when `collect`) completions in `notes`. Runs on worker threads: no
-    /// router views, no fault layer, no telemetry — those are driver-side
-    /// and replayed at the barrier.
-    fn drain(&mut self, limit: f64, collect: bool) {
-        while let Some(&Reverse(entry)) = self.heap.peek() {
-            if entry.time >= limit {
-                break;
-            }
-            self.heap.pop();
-            let local = entry.server - self.base;
-            if entry.stamp != self.stamps[local] {
-                continue; // stale: the server was stepped or offered work since
-            }
-            let stepped = self.servers[local].step();
-            debug_assert!(stepped.is_some(), "a scheduled event must fire");
-            if collect {
-                if let Some(SimEvent::Completion(rec)) = &stepped {
-                    self.notes.push(CompletionNote {
-                        at: rec.completion,
-                        server: entry.server,
-                        id: rec.id,
-                        latency: rec.latency(),
-                    });
-                }
-            }
-            self.dirty.push(entry.server as u32);
-            self.stamps[local] += 1;
-            if let Some(time) = self.servers[local].next_event_time() {
-                self.heap.push(Reverse(HeapEntry {
-                    time,
-                    server: entry.server,
-                    stamp: self.stamps[local],
-                }));
-            }
-        }
-    }
-}
-
-/// A drain assignment shipped to a worker: the shard travels by value and
-/// comes back through the worker's `done` channel.
-struct Task<P: DvfsPolicy> {
-    shard: Shard<P>,
-    limit: f64,
-    collect: bool,
-}
-
-struct WorkerHandle<P: DvfsPolicy> {
-    tasks: mpsc::Sender<Task<P>>,
-    done: mpsc::Receiver<Shard<P>>,
-}
-
-impl<P: DvfsPolicy> WorkerHandle<P> {
-    /// Collects a drained shard, spinning briefly before parking — the
-    /// barrier round-trip is the per-arrival hot path.
-    fn recv_done(&self) -> Shard<P> {
-        for _ in 0..4096 {
-            match self.done.try_recv() {
-                Ok(shard) => return shard,
-                Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-                Err(mpsc::TryRecvError::Disconnected) => panic!("shard worker exited mid-run"),
-            }
-        }
-        self.done.recv().expect("shard worker exited mid-run")
-    }
-}
-
-/// The per-run worker pool: worker `w` serves shard `w + 1` (the driver
-/// thread drains shard 0 itself, overlapping with the workers).
-struct ShardPool<P: DvfsPolicy> {
-    workers: Vec<WorkerHandle<P>>,
-}
-
-/// A pool worker: receives drain tasks until the pool (and its sender) is
-/// dropped at the end of the run. Spins briefly between tasks before
-/// falling back to a blocking receive, so back-to-back barriers don't pay
-/// an OS wakeup but an idle stretch doesn't burn a core.
-fn worker_loop<P: DvfsPolicy>(tasks: mpsc::Receiver<Task<P>>, done: mpsc::Sender<Shard<P>>) {
-    'serve: loop {
-        let mut task = None;
-        for spin in 0..4096 {
-            match tasks.try_recv() {
-                Ok(t) => {
-                    task = Some(t);
-                    break;
-                }
-                Err(mpsc::TryRecvError::Empty) if spin % 64 == 63 => std::thread::yield_now(),
-                Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-                Err(mpsc::TryRecvError::Disconnected) => break 'serve,
-            }
-        }
-        let mut task = match task {
-            Some(t) => t,
-            None => match tasks.recv() {
-                Ok(t) => t,
-                Err(_) => break 'serve,
-            },
-        };
-        task.shard.drain(task.limit, task.collect);
-        if done.send(task.shard).is_err() {
-            break 'serve;
-        }
-    }
-}
-
-/// The driver's event-loop state: the fleet partitioned into shards (one
-/// for the classic serial loop), the incrementally maintained router
-/// views, and the static per-server labels the views carry.
+/// The driver's event-loop state: the fleet, its stamped event heap, the
+/// incrementally maintained router views, and the static per-server labels
+/// the views carry.
 struct EventLoop<P: DvfsPolicy> {
-    shards: Vec<Shard<P>>,
-    /// Global server index → owning shard.
-    owner: Vec<u32>,
-    /// Written only by `schedule` and the sharded barrier refresh, which
-    /// both report the write to `route_index`.
+    servers: Vec<ServerSim<P>>,
+    /// Per-server stamps; a heap entry is live only while its stamp matches.
+    stamps: Vec<u64>,
+    heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// Written only by `schedule`, which reports the write to `route_index`.
     views: Vec<ServerView>,
     /// The keyed router's choice, maintained from view writes; `None` for
     /// unkeyed routers, which scan `views` on every decision instead.
@@ -1072,65 +633,37 @@ struct EventLoop<P: DvfsPolicy> {
     capacities: Vec<f64>,
     classes: Vec<u32>,
     healths: Vec<ServerHealth>,
-    /// Reused per-barrier scratch: which shards had due work this window.
-    scratch_active: Vec<bool>,
-    /// Reused per-barrier scratch: per-shard cursors for the notes merge.
-    scratch_cursors: Vec<usize>,
 }
 
 impl<P: DvfsPolicy> EventLoop<P> {
-    /// Partitions `servers` into `shard_count` contiguous balanced blocks
-    /// (clamped to the fleet size) and seeds each shard's heap, every
-    /// router view, and — if `router` is keyed — the route index.
+    /// Seeds the heap with every server's first event, builds every router
+    /// view, and — if `router` is keyed — the route index.
     fn new(
         servers: Vec<ServerSim<P>>,
-        shard_count: usize,
         capacities: Vec<f64>,
         classes: Vec<u32>,
         router: &dyn Router,
     ) -> Self {
         let n = servers.len();
-        let k = shard_count.clamp(1, n.max(1));
-        let mut owner = vec![0u32; n];
-        let mut shards: Vec<Shard<P>> = Vec::with_capacity(k);
-        let mut remaining = servers.into_iter();
-        let mut base = 0usize;
-        for s in 0..k {
-            let size = n / k + usize::from(s < n % k);
-            let block: Vec<ServerSim<P>> = remaining.by_ref().take(size).collect();
-            for slot in &mut owner[base..base + size] {
-                *slot = s as u32;
+        let mut heap = BinaryHeap::with_capacity(2 * n);
+        for (server, sim) in servers.iter().enumerate() {
+            if let Some(time) = sim.next_event_time() {
+                heap.push(Reverse(HeapEntry {
+                    time,
+                    server,
+                    stamp: 0,
+                }));
             }
-            let mut shard = Shard {
-                base,
-                servers: block,
-                stamps: vec![0; size],
-                heap: BinaryHeap::with_capacity(2 * size),
-                dirty: Vec::new(),
-                notes: Vec::new(),
-            };
-            for local in 0..size {
-                if let Some(time) = shard.servers[local].next_event_time() {
-                    shard.heap.push(Reverse(HeapEntry {
-                        time,
-                        server: base + local,
-                        stamp: 0,
-                    }));
-                }
-            }
-            base += size;
-            shards.push(shard);
         }
         let mut state = Self {
-            shards,
-            owner,
+            servers,
+            stamps: vec![0; n],
+            heap,
             views: Vec::with_capacity(n),
             route_index: None,
             capacities,
             classes,
             healths: vec![ServerHealth::Up; n],
-            scratch_active: Vec::new(),
-            scratch_cursors: Vec::new(),
         };
         for i in 0..n {
             let view = state.view_of(i);
@@ -1142,32 +675,16 @@ impl<P: DvfsPolicy> EventLoop<P> {
 
     /// Number of servers in the fleet.
     fn len(&self) -> usize {
-        self.owner.len()
-    }
-
-    fn server(&self, i: usize) -> &ServerSim<P> {
-        let shard = &self.shards[self.owner[i] as usize];
-        &shard.servers[i - shard.base]
-    }
-
-    fn server_mut(&mut self, i: usize) -> &mut ServerSim<P> {
-        let shard = &mut self.shards[self.owner[i] as usize];
-        &mut shard.servers[i - shard.base]
-    }
-
-    /// Every server, in global index order (shards are contiguous
-    /// ascending blocks).
-    fn servers(&self) -> impl Iterator<Item = &ServerSim<P>> {
-        self.shards.iter().flat_map(|shard| shard.servers.iter())
+        self.servers.len()
     }
 
     /// Whether any server still has a pending event.
     fn has_events(&self) -> bool {
-        self.servers().any(|s| s.next_event_time().is_some())
+        self.servers.iter().any(|s| s.next_event_time().is_some())
     }
 
     fn view_of(&self, i: usize) -> ServerView {
-        let s = self.server(i);
+        let s = &self.servers[i];
         ServerView {
             index: i,
             in_flight: s.in_flight(),
@@ -1182,15 +699,6 @@ impl<P: DvfsPolicy> EventLoop<P> {
         }
     }
 
-    /// Rewrites server `i`'s router view and reports the write to the
-    /// route index.
-    fn refresh_view(&mut self, i: usize) {
-        self.views[i] = self.view_of(i);
-        if let Some(index) = self.route_index.as_mut() {
-            index.mark_changed(i);
-        }
-    }
-
     /// Chooses the destination for `request` against the live views: from
     /// the route index for a keyed router, by calling `route` otherwise.
     fn route(&mut self, router: &mut dyn Router, request: &RequestSpec) -> usize {
@@ -1201,78 +709,40 @@ impl<P: DvfsPolicy> EventLoop<P> {
     }
 
     /// Re-registers server `i` after its state changed: refreshes its router
-    /// view, advances its stamp (invalidating any entry already in its
-    /// shard's heap), and pushes its current next-event time, if any.
+    /// view (reporting the write to the route index), advances its stamp
+    /// (invalidating any entry already in the heap), and pushes its current
+    /// next-event time, if any.
     fn schedule(&mut self, i: usize) {
-        self.refresh_view(i);
-        let shard = &mut self.shards[self.owner[i] as usize];
-        let local = i - shard.base;
-        shard.stamps[local] += 1;
-        if let Some(time) = shard.servers[local].next_event_time() {
-            shard.heap.push(Reverse(HeapEntry {
+        self.views[i] = self.view_of(i);
+        if let Some(index) = self.route_index.as_mut() {
+            index.mark_changed(i);
+        }
+        self.stamps[i] += 1;
+        if let Some(time) = self.servers[i].next_event_time() {
+            self.heap.push(Reverse(HeapEntry {
                 time,
                 server: i,
-                stamp: shard.stamps[local],
+                stamp: self.stamps[i],
             }));
         }
     }
 
-    /// Drains every fleet event strictly before `limit`, choosing between
-    /// the merged serial order and the sharded parallel path.
-    ///
-    /// The parallel path is taken only when it is provably bit-identical
-    /// to the serial one: server simulations are independent inside an
-    /// event window, and with hedging disabled the fault layer's
-    /// per-completion bookkeeping (retiring pending attempts) commutes —
-    /// the barrier replay in global `(time, server)` order reproduces the
-    /// serial layer state exactly. A hedged completion, by contrast,
-    /// cancels the losing copy on *another* server mid-window, so hedged
-    /// runs always use the merged serial drain.
-    fn drain(
-        &mut self,
-        limit: f64,
-        pool: Option<&ShardPool<P>>,
-        layer: Option<&mut FaultLayer>,
-        tele: &mut Telemetry,
-    ) {
-        match pool {
-            Some(pool) if !layer.as_ref().is_some_and(|l| l.hedging_enabled()) => {
-                self.drain_parallel(limit, pool, layer);
-            }
-            _ => self.drain_serial(limit, layer, tele),
-        }
-    }
-
     /// Steps fleet events in `(time, server)` order while they lie strictly
-    /// before `limit`, merging across shard heaps (with one shard this is
-    /// the classic single-heap loop). When a fault layer is attached,
-    /// completions are reported to it so pending timeouts are retired — and
-    /// a completion that resolves a hedged pair cancels the losing copy on
-    /// the spot (first-completion-wins).
-    fn drain_serial(
-        &mut self,
-        limit: f64,
-        mut layer: Option<&mut FaultLayer>,
-        tele: &mut Telemetry,
-    ) {
-        loop {
-            // The earliest still-valid entry across shards, ordered by
-            // (time, server) — exactly the single-heap pop order, since a
-            // server lives in exactly one shard.
-            let mut best: Option<(f64, usize, usize)> = None;
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                if let Some((time, server)) = shard.peek_due() {
-                    if time < limit && best.is_none_or(|(bt, bs, _)| (time, server) < (bt, bs)) {
-                        best = Some((time, server, s));
-                    }
-                }
+    /// before `limit`. When a fault layer is attached, completions are
+    /// reported to it so pending timeouts are retired — and a completion
+    /// that resolves a hedged pair cancels the losing copy on the spot
+    /// (first-completion-wins).
+    fn drain(&mut self, limit: f64, mut layer: Option<&mut FaultLayer>, tele: &mut Telemetry) {
+        while let Some(&Reverse(entry)) = self.heap.peek() {
+            if entry.time >= limit {
+                break;
             }
-            let Some((_, server, s)) = best else { break };
-            let stepped = {
-                let shard = &mut self.shards[s];
-                shard.heap.pop();
-                shard.servers[server - shard.base].step()
-            };
+            self.heap.pop();
+            let server = entry.server;
+            if entry.stamp != self.stamps[server] {
+                continue; // stale: the server was stepped or offered work since
+            }
+            let stepped = self.servers[server].step();
             debug_assert!(stepped.is_some(), "a scheduled event must fire");
             if let (Some(SimEvent::Completion(rec)), Some(l)) = (&stepped, layer.as_deref_mut()) {
                 if let Some(res) = l.on_completion(rec.id, server, rec.latency()) {
@@ -1280,94 +750,6 @@ impl<P: DvfsPolicy> EventLoop<P> {
                 }
             }
             self.schedule(server);
-        }
-    }
-
-    /// Drains shards concurrently up to `limit`: dispatches every shard
-    /// with due work to its worker (the driver thread takes the first
-    /// active shard itself), then replays the side effects at the barrier —
-    /// router-view refreshes, and fault-layer completions merged across
-    /// shards in global `(time, server)` order.
-    fn drain_parallel(&mut self, limit: f64, pool: &ShardPool<P>, layer: Option<&mut FaultLayer>) {
-        let k = self.shards.len();
-        self.scratch_active.clear();
-        self.scratch_active.resize(k, false);
-        let mut active = 0usize;
-        let mut first = usize::MAX;
-        for s in 0..k {
-            if self.shards[s].peek_due().is_some_and(|(t, _)| t < limit) {
-                self.scratch_active[s] = true;
-                active += 1;
-                first = first.min(s);
-            }
-        }
-        if active == 0 {
-            return;
-        }
-        let collect = layer.is_some();
-        for s in (first + 1)..k {
-            if self.scratch_active[s] {
-                let shard = std::mem::take(&mut self.shards[s]);
-                pool.workers[s - 1]
-                    .tasks
-                    .send(Task {
-                        shard,
-                        limit,
-                        collect,
-                    })
-                    .expect("shard worker exited mid-run");
-            }
-        }
-        self.shards[first].drain(limit, collect);
-        for s in (first + 1)..k {
-            if self.scratch_active[s] {
-                self.shards[s] = pool.workers[s - 1].recv_done();
-            }
-        }
-
-        // Barrier, part 1: refresh the router view of every server stepped
-        // off-thread. Order doesn't matter (refresh is idempotent and views
-        // are only read after the drain); the work is the same O(events)
-        // view writes the serial path does inline.
-        for s in first..k {
-            if !self.scratch_active[s] {
-                continue;
-            }
-            let dirty = std::mem::take(&mut self.shards[s].dirty);
-            for &i in &dirty {
-                self.refresh_view(i as usize);
-            }
-            let mut dirty = dirty;
-            dirty.clear();
-            self.shards[s].dirty = dirty;
-        }
-
-        // Barrier, part 2: replay completions to the fault layer in global
-        // (time, server) order — a k-way merge over the shards' note lists,
-        // each already sorted by its own drain order. With hedging disabled
-        // (guaranteed on this path) no completion resolves a hedge, so
-        // replay leaves the layer in exactly the serial drain's state.
-        if let Some(l) = layer {
-            self.scratch_cursors.clear();
-            self.scratch_cursors.resize(k, 0);
-            loop {
-                let mut best: Option<(f64, usize, usize)> = None;
-                for s in first..k {
-                    if let Some(note) = self.shards[s].notes.get(self.scratch_cursors[s]) {
-                        if best.is_none_or(|(bt, bs, _)| (note.at, note.server) < (bt, bs)) {
-                            best = Some((note.at, note.server, s));
-                        }
-                    }
-                }
-                let Some((_, _, s)) = best else { break };
-                let note = self.shards[s].notes[self.scratch_cursors[s]];
-                self.scratch_cursors[s] += 1;
-                let resolved = l.on_completion(note.id, note.server, note.latency);
-                debug_assert!(resolved.is_none(), "hedged runs must drain serially");
-            }
-            for shard in &mut self.shards {
-                shard.notes.clear();
-            }
         }
     }
 }
@@ -1400,8 +782,8 @@ fn resolve_hedge<P: DvfsPolicy>(
     // A server that coasted past `at` (e.g. under an earlier fault
     // alignment at this same boundary) cancels at its own clock instead.
     let cancel = |state: &mut EventLoop<P>, j: usize| {
-        let t = at.max(state.server(j).now());
-        state.server_mut(j).cancel(t, id).is_some()
+        let t = at.max(state.servers[j].now());
+        state.servers[j].cancel(t, id).is_some()
     };
     let found = if cancel(state, res.loser) {
         Some(res.loser)
@@ -1432,14 +814,14 @@ fn align_server_to<P: DvfsPolicy>(
     layer: &mut FaultLayer,
     tele: &mut Telemetry,
 ) {
-    while state.server(i).next_event_time().is_some_and(|te| te <= t) {
-        if let Some(SimEvent::Completion(rec)) = state.server_mut(i).step() {
+    while state.servers[i].next_event_time().is_some_and(|te| te <= t) {
+        if let Some(SimEvent::Completion(rec)) = state.servers[i].step() {
             if let Some(res) = layer.on_completion(rec.id, i, rec.latency()) {
                 resolve_hedge(state, tele, rec.id, rec.completion, i, res);
             }
         }
     }
-    state.server_mut(i).coast_to(t);
+    state.servers[i].coast_to(t);
 }
 
 /// Applies every scripted op, retry delivery, hedge launch, and attempt
@@ -1466,7 +848,7 @@ fn run_faults<P: DvfsPolicy>(
                     server: op.server as u32,
                     kind: ServerEventKind::Down,
                 });
-                let in_flight = state.server_mut(op.server).fail(now);
+                let in_flight = state.servers[op.server].fail(now);
                 state.healths[op.server] = layer.health_of(op.server);
                 if let Some(spec) = in_flight {
                     if layer.copy_lost(spec.id, op.server) {
@@ -1500,7 +882,7 @@ fn run_faults<P: DvfsPolicy>(
                 state.schedule(op.server);
                 if layer.policy().drain_on_crash {
                     let mut stranded = Vec::new();
-                    while let Some(spec) = state.server_mut(op.server).steal_queued() {
+                    while let Some(spec) = state.servers[op.server].steal_queued() {
                         stranded.push(spec);
                     }
                     state.schedule(op.server);
@@ -1508,7 +890,7 @@ fn run_faults<P: DvfsPolicy>(
                     // reverse preserves arrival order across the receivers.
                     for spec in stranded.into_iter().rev() {
                         let target = state.route(router, &spec);
-                        state.server_mut(target).inject(now, spec);
+                        state.servers[target].inject(now, spec);
                         layer.requeued(spec.id, op.server, target);
                         tele.request_event(
                             spec.id,
@@ -1530,11 +912,11 @@ fn run_faults<P: DvfsPolicy>(
                     server: op.server as u32,
                     kind: ServerEventKind::Up,
                 });
-                if state.server(op.server).is_down() {
-                    state.server_mut(op.server).recover(now);
+                if state.servers[op.server].is_down() {
+                    state.servers[op.server].recover(now);
                 }
-                if state.server(op.server).stuck_freq().is_some() {
-                    state.server_mut(op.server).stick_freq(None);
+                if state.servers[op.server].stuck_freq().is_some() {
+                    state.servers[op.server].stick_freq(None);
                 }
                 state.healths[op.server] = layer.health_of(op.server);
                 state.schedule(op.server);
@@ -1545,13 +927,13 @@ fn run_faults<P: DvfsPolicy>(
                     server: op.server as u32,
                     kind: ServerEventKind::StraggleStart { slowdown },
                 });
-                state.server_mut(op.server).set_slowdown(slowdown);
+                state.servers[op.server].set_slowdown(slowdown);
                 state.healths[op.server] = layer.health_of(op.server);
                 state.schedule(op.server);
             }
             OpKind::StraggleEnd => {
                 if effective {
-                    state.server_mut(op.server).set_slowdown(1.0);
+                    state.servers[op.server].set_slowdown(1.0);
                     tele.server_event(ServerEvent {
                         at: now,
                         server: op.server as u32,
@@ -1569,7 +951,7 @@ fn run_faults<P: DvfsPolicy>(
                         mhz: level.map(|f| f.mhz()),
                     },
                 });
-                state.server_mut(op.server).stick_freq(level);
+                state.servers[op.server].stick_freq(level);
                 state.schedule(op.server);
             }
         }
@@ -1579,7 +961,7 @@ fn run_faults<P: DvfsPolicy>(
     // in `HealthAware` to keep retries off down or straggling servers.
     while let Some((spec, attempt)) = layer.pop_due_retry(now) {
         let target = state.route(router, &spec);
-        state.server_mut(target).inject(now, spec);
+        state.servers[target].inject(now, spec);
         layer.on_routed(spec, target, attempt, now);
         tele.request_event(
             spec.id,
@@ -1608,7 +990,7 @@ fn run_faults<P: DvfsPolicy>(
         let Some(target) = target else {
             continue;
         };
-        state.server_mut(target).inject(now, spec);
+        state.servers[target].inject(now, spec);
         layer.hedge_launched(spec.id, target);
         tele.request_event(
             spec.id,
@@ -1626,7 +1008,7 @@ fn run_faults<P: DvfsPolicy>(
     // them to the retry schedule. Work already in service is never
     // interrupted — the timeout is recorded and the attempt runs out.
     while let Some((id, attempt, server)) = layer.pop_due_timeout(now) {
-        if let Some(spec) = state.server_mut(server).remove_queued(id) {
+        if let Some(spec) = state.servers[server].remove_queued(id) {
             tele.request_event(
                 id,
                 RequestEvent {
@@ -1660,85 +1042,160 @@ fn run_faults<P: DvfsPolicy>(
     }
 }
 
-/// Takes one telemetry sample window ending at `now`: per-server mean power
-/// over the window (via a dedicated [`EpochMeter`], independent of the
-/// fleet controller's), queue/in-flight/DVFS snapshots from the live router
-/// views, and cumulative retry/timeout counters from the fault layer.
-#[allow(clippy::too_many_arguments)]
-fn sample_fleet<P: DvfsPolicy>(
-    tele: &mut Telemetry,
-    meter: &mut EpochMeter,
-    powers: &mut Vec<f64>,
-    now: f64,
-    state: &EventLoop<P>,
-    layer: Option<&FaultLayer>,
-    power: &CorePowerModel,
-) {
-    let start = meter.last_time();
-    meter.measure(state.servers(), power, now, powers);
-    let per_server: Vec<ServerSample> = state
-        .views
-        .iter()
-        .zip(powers.iter())
-        .map(|(view, &watts)| ServerSample {
-            queued: view.queued as u32,
-            in_flight: view.in_flight as u32,
-            freq_mhz: view.current_freq.mhz(),
-            power: watts,
-            down: view.health == ServerHealth::Down,
-        })
-        .collect();
-    let (retries, timeouts) = layer.map_or((0, 0), |l| {
-        (l.stats().retries as u64, l.stats().timeouts as u64)
-    });
-    tele.epoch_sample(EpochSample {
-        start,
-        end: now,
-        power: powers.iter().sum(),
-        queued: per_server.iter().map(|s| s.queued).sum(),
-        in_flight: per_server.iter().map(|s| s.in_flight).sum(),
-        completions: 0, // filled at finalize by bucketing records
-        retries,
-        timeouts,
-        per_server,
-    });
-}
-
-/// Scratch state for the migration and power-capping hooks.
+/// The boundary hooks, each on its own periodic clock: the migrator, the
+/// fleet controller and (when telemetry records) the fleet sampler. A hook
+/// that was not attached is `None` and its clock is infinite, so a cluster
+/// without hooks computes every boundary exactly as if hooks did not exist.
 struct Hooks {
-    meter: EpochMeter,
     power: CorePowerModel,
-    powers: Vec<f64>,
-    commands: Vec<FleetCommand>,
-    moves: Vec<Migration>,
-    batch: Vec<RequestSpec>,
-    base_bounds: Vec<Option<f64>>,
-    migrated: usize,
+    migration: Option<MigrationHook>,
+    epoch: Option<EpochHook>,
+    sampler: Option<Sampler>,
 }
 
 impl Hooks {
+    /// Builds the attached hooks and runs the fleet controller's initial
+    /// apportioning at `t = 0`, before any event, so a finite budget is in
+    /// force from the very first request.
+    fn new<P: DvfsPolicy>(
+        migrator: Option<Box<dyn Migrator>>,
+        fleet: Option<Box<dyn FleetController>>,
+        tele: &Telemetry,
+        power: CorePowerModel,
+        state: &mut EventLoop<P>,
+    ) -> Self {
+        let n = state.len();
+        let migration = migrator.map(|migrator| MigrationHook {
+            period: migrator.interval(),
+            next: migrator.interval(),
+            migrator,
+            moves: Vec::new(),
+            batch: Vec::new(),
+            migrated: 0,
+        });
+        let mut epoch = fleet.map(|ctl| EpochHook {
+            period: ctl.epoch(),
+            next: ctl.epoch(),
+            ctl,
+            meter: EpochMeter::new(n),
+            powers: Vec::with_capacity(n),
+            commands: Vec::new(),
+            // The original per-policy latency objectives: `ScaleBound`
+            // commands rescale relative to these, never compounding.
+            base_bounds: state
+                .servers
+                .iter()
+                .map(|s| s.policy().latency_bound())
+                .collect(),
+        });
+        if let Some(e) = epoch.as_mut() {
+            e.run(0.0, 0.0, &power, state);
+        }
+        // Disabled telemetry has no sampler and allocates nothing. Enabled
+        // sampling only *partitions* the drains at sample instants (events
+        // are still processed in the same order), so even a recording run
+        // leaves the simulation bit-exact.
+        let sampler = tele.is_enabled().then(|| {
+            let period = tele.sample_epoch().unwrap_or(f64::INFINITY);
+            Sampler {
+                meter: EpochMeter::new(n),
+                powers: Vec::new(),
+                period,
+                next: period,
+            }
+        });
+        Self {
+            power,
+            migration,
+            epoch,
+            sampler,
+        }
+    }
+
+    /// The next boundary instant, and the fault layer's own next boundary
+    /// (read here, *before* the drain up to the boundary, which is what
+    /// decides whether [`Hooks::fire`] runs fault work).
+    fn next_boundary(&self, layer: Option<&FaultLayer>) -> (f64, f64) {
+        let fault = layer.map_or(f64::INFINITY, FaultLayer::next_boundary);
+        let boundary = self
+            .migration
+            .as_ref()
+            .map_or(f64::INFINITY, |m| m.next)
+            .min(self.epoch.as_ref().map_or(f64::INFINITY, |e| e.next))
+            .min(fault)
+            .min(self.sampler.as_ref().map_or(f64::INFINITY, |s| s.next));
+        (boundary, fault)
+    }
+
+    /// Runs every hook due at `boundary`, after the fleet was drained up to
+    /// (not including) it.
+    ///
+    /// # Hook ordering
+    ///
+    /// At a boundary time `t`, every fleet event strictly before `t` has
+    /// been processed. Fault work — scripted ops, retry deliveries, hedge
+    /// launches, attempt timeouts — runs first, so migration and capping
+    /// observe the post-fault fleet. The migrator (if both fire at `t`)
+    /// rebalances next, and the fleet controller then observes the
+    /// post-rebalance queues. Telemetry sampling runs *last* at equal
+    /// instants, observing the post-hook fleet. Boundaries keep firing
+    /// through the post-arrival drain so a trailing backlog is still
+    /// rebalanced and capped.
+    fn fire<P: DvfsPolicy>(
+        &mut self,
+        boundary: f64,
+        fault: f64,
+        mut layer: Option<&mut FaultLayer>,
+        tele: &mut Telemetry,
+        router: &mut dyn Router,
+        state: &mut EventLoop<P>,
+    ) {
+        if fault <= boundary {
+            let l = layer.as_deref_mut().expect("fault boundary implies layer");
+            run_faults(l, tele, boundary, router, state);
+        }
+        if let Some(m) = self.migration.as_mut().filter(|m| m.next == boundary) {
+            m.run(tele, boundary, state);
+            m.next += m.period;
+        }
+        if let Some(e) = self.epoch.as_mut().filter(|e| e.next == boundary) {
+            e.run(boundary, e.period, &self.power, state);
+            e.next += e.period;
+        }
+        if let Some(s) = self.sampler.as_mut().filter(|s| s.next == boundary) {
+            s.sample(tele, boundary, state, layer.as_deref(), &self.power);
+            s.next += s.period;
+        }
+    }
+}
+
+/// The queue rebalancer on its clock, with its reused scratch.
+struct MigrationHook {
+    migrator: Box<dyn Migrator>,
+    period: f64,
+    next: f64,
+    moves: Vec<Migration>,
+    batch: Vec<RequestSpec>,
+    migrated: usize,
+}
+
+impl MigrationHook {
     /// Runs one migration boundary: plan against the live views, then move
     /// each planned batch donor-tail → receiver, preserving arrival order
     /// within the batch.
-    fn run_migration<P: DvfsPolicy>(
-        &mut self,
-        migrator: &mut dyn Migrator,
-        tele: &mut Telemetry,
-        now: f64,
-        state: &mut EventLoop<P>,
-    ) {
+    fn run<P: DvfsPolicy>(&mut self, tele: &mut Telemetry, now: f64, state: &mut EventLoop<P>) {
         self.moves.clear();
-        migrator.plan(now, &state.views, &mut self.moves);
+        self.migrator.plan(now, &state.views, &mut self.moves);
         for k in 0..self.moves.len() {
             let m = self.moves[k];
             assert!(
                 m.from < state.len() && m.to < state.len() && m.from != m.to,
                 "migrator {} planned an invalid move {m:?}",
-                migrator.name()
+                self.migrator.name()
             );
             self.batch.clear();
             for _ in 0..m.count {
-                match state.server_mut(m.from).steal_queued() {
+                match state.servers[m.from].steal_queued() {
                     Some(spec) => self.batch.push(spec),
                     None => break, // queue shorter than planned: move less
                 }
@@ -1752,7 +1209,7 @@ impl Hooks {
             // happens at the boundary instant, advancing the receiver's
             // clock to `now` first.
             for spec in self.batch.drain(..).rev() {
-                state.server_mut(m.to).inject(now, spec);
+                state.servers[m.to].inject(now, spec);
                 tele.request_event(
                     spec.id,
                     RequestEvent {
@@ -1768,19 +1225,33 @@ impl Hooks {
             state.schedule(m.to);
         }
     }
+}
 
+/// The fleet-level power manager on its epoch clock, with its own power
+/// meter and reused scratch.
+struct EpochHook {
+    ctl: Box<dyn FleetController>,
+    period: f64,
+    next: f64,
+    meter: EpochMeter,
+    powers: Vec<f64>,
+    commands: Vec<FleetCommand>,
+    base_bounds: Vec<Option<f64>>,
+}
+
+impl EpochHook {
     /// Runs one fleet-controller epoch: measure per-server power over the
     /// closing window, let the controller command, and apply the commands.
-    fn run_epoch<P: DvfsPolicy>(
+    fn run<P: DvfsPolicy>(
         &mut self,
-        ctl: &mut dyn FleetController,
         now: f64,
         elapsed: f64,
+        power: &CorePowerModel,
         state: &mut EventLoop<P>,
     ) {
         if elapsed > 0.0 {
             self.meter
-                .measure(state.servers(), &self.power, now, &mut self.powers);
+                .measure(&state.servers, power, now, &mut self.powers);
         } else {
             self.powers.clear();
             self.powers.resize(state.len(), 0.0);
@@ -1788,7 +1259,7 @@ impl Hooks {
         let power_views: Vec<ServerPowerView<'_>> = state
             .views
             .iter()
-            .zip(state.servers())
+            .zip(&state.servers)
             .zip(&self.powers)
             .map(|((&view, server), &measured_power)| ServerPowerView {
                 view,
@@ -1797,13 +1268,14 @@ impl Hooks {
             })
             .collect();
         self.commands.clear();
-        ctl.on_epoch(now, elapsed, &power_views, &mut self.commands);
+        self.ctl
+            .on_epoch(now, elapsed, &power_views, &mut self.commands);
         drop(power_views);
         for k in 0..self.commands.len() {
             match self.commands[k] {
                 FleetCommand::SetCeiling { server, ceiling } => {
                     assert!(server < state.len(), "ceiling for unknown server");
-                    state.server_mut(server).retarget(ceiling);
+                    state.servers[server].retarget(ceiling);
                     // A retarget can start a V/F transition, changing the
                     // server's next event time.
                     state.schedule(server);
@@ -1815,14 +1287,67 @@ impl Hooks {
                         "bound scale must be positive and finite"
                     );
                     if let Some(base) = self.base_bounds[server] {
-                        state
-                            .server_mut(server)
+                        state.servers[server]
                             .policy_mut()
                             .set_latency_bound(base * scale);
                     }
                 }
             }
         }
+    }
+}
+
+/// The telemetry fleet sampler on its clock, with a dedicated power meter
+/// independent of the fleet controller's.
+struct Sampler {
+    meter: EpochMeter,
+    powers: Vec<f64>,
+    period: f64,
+    next: f64,
+}
+
+impl Sampler {
+    /// Takes one telemetry sample window ending at `now`: per-server mean
+    /// power over the window, queue/in-flight/DVFS snapshots from the live
+    /// router views, and cumulative retry/timeout counters from the fault
+    /// layer.
+    fn sample<P: DvfsPolicy>(
+        &mut self,
+        tele: &mut Telemetry,
+        now: f64,
+        state: &EventLoop<P>,
+        layer: Option<&FaultLayer>,
+        power: &CorePowerModel,
+    ) {
+        let start = self.meter.last_time();
+        self.meter
+            .measure(&state.servers, power, now, &mut self.powers);
+        let per_server: Vec<ServerSample> = state
+            .views
+            .iter()
+            .zip(&self.powers)
+            .map(|(view, &watts)| ServerSample {
+                queued: view.queued as u32,
+                in_flight: view.in_flight as u32,
+                freq_mhz: view.current_freq.mhz(),
+                power: watts,
+                down: view.health == ServerHealth::Down,
+            })
+            .collect();
+        let (retries, timeouts) = layer.map_or((0, 0), |l| {
+            (l.stats().retries as u64, l.stats().timeouts as u64)
+        });
+        tele.epoch_sample(EpochSample {
+            start,
+            end: now,
+            power: self.powers.iter().sum(),
+            queued: per_server.iter().map(|s| s.queued).sum(),
+            in_flight: per_server.iter().map(|s| s.in_flight).sum(),
+            completions: 0, // filled at finalize by bucketing records
+            retries,
+            timeouts,
+            per_server,
+        });
     }
 }
 

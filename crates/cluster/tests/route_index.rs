@@ -10,14 +10,13 @@
 //! 2. **Scan fallback is bit-identical.** A forward-only wrapper (just
 //!    `name` and `route`, the shape of a timing probe) hides the key, so
 //!    the driver scans; across router × fleet × fault-plan × seed grids —
-//!    with hedging, drain-on-crash, salvage and retries, and a sharded
-//!    run — the keyed cluster and the wrapped one produce the same
-//!    `ClusterOutcome` and per-server `RunResult` bits.
+//!    with hedging, drain-on-crash, salvage and retries — the keyed
+//!    cluster and the wrapped one produce the same `ClusterOutcome` and
+//!    per-server `RunResult` bits.
 
 use rubik_cluster::{
     fleet_trace, Cluster, ClusterOutcome, FaultPlan, HealthAware, JoinShortestQueue, PegasusFleet,
     PowerAware, RequestPolicy, RoundRobin, RouteIndex, RouteKey, Router, ServerHealth, ServerView,
-    ShardSpec,
 };
 use rubik_core::{RubikConfig, RubikController};
 use rubik_power::CorePowerModel;
@@ -315,7 +314,7 @@ type Run = (ClusterOutcome, Vec<RunResult>);
 
 /// One cell: `fleet` Rubik servers behind `router`, fault-free or under
 /// the eventful plan with the full request lifecycle and a power cap.
-fn run_cell(router: Box<dyn Router>, fleet: usize, faulted: bool, seed: u64, shards: usize) -> Run {
+fn run_cell(router: Box<dyn Router>, fleet: usize, faulted: bool, seed: u64) -> Run {
     let config = SimConfig::paper_simulated();
     let profile = AppProfile::masstree();
     let mean = profile.mean_service_time();
@@ -346,11 +345,7 @@ fn run_cell(router: Box<dyn Router>, fleet: usize, faulted: bool, seed: u64, sha
                     .draining_on_crash(),
             );
     }
-    if shards > 1 {
-        cluster.run_sharded_with_results(ShardSpec::new(shards), &trace)
-    } else {
-        cluster.run_with_results(&trace)
-    }
+    cluster.run_with_results(&trace)
 }
 
 #[test]
@@ -368,11 +363,8 @@ fn forward_only_wrappers_reproduce_keyed_clusters_bitwise() {
         let faulted = c.get("faulted") == 1;
         let seed = seeds[c.get("seed")];
         let keyed = || routers().swap_remove(c.get("router"));
-        // Sharding moves view writes to the barrier refresh; cover it on
-        // every other cell.
-        let shards = 1 + c.index() % 2;
-        let (o1, r1) = run_cell(keyed(), fleet, faulted, seed, shards);
-        let (o2, r2) = run_cell(Box::new(ScanOnly(keyed())), fleet, faulted, seed, 1);
+        let (o1, r1) = run_cell(keyed(), fleet, faulted, seed);
+        let (o2, r2) = run_cell(Box::new(ScanOnly(keyed())), fleet, faulted, seed);
 
         let name = keyed().name().to_string();
         assert_eq!(

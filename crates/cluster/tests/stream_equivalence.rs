@@ -99,14 +99,14 @@ fn eventful_plan(duration: f64) -> FaultPlan {
 }
 
 /// One fully-loaded cluster per grid cell: router, watt cap, migrator, and
-/// (for half the grid) faults with timeouts and retries — equivalence is
-/// proven against every boundary the driver sequences, not just the plain
-/// event stream.
+/// (unless `plan` is 0) faults with timeouts and retries, plus hedging when
+/// `plan` is 2 — equivalence is proven against every boundary the driver
+/// sequences, not just the plain event stream.
 fn cell_cluster(
     config: &SimConfig,
     fleet: usize,
     which_router: usize,
-    faulted: bool,
+    plan: usize,
     duration: f64,
     seed: u64,
 ) -> Cluster<FixedFrequencyPolicy> {
@@ -120,17 +120,19 @@ fn cell_cluster(
         PegasusFleet::new(4.0 * fleet as f64, power).with_epoch(duration / 20.0),
     ))
     .with_migrator(Box::new(ThresholdMigrator::default()));
-    if faulted {
+    if plan > 0 {
+        let mut policy = RequestPolicy::new()
+            .with_timeout(8.0 * mean)
+            .with_retries(4, mean, 16.0 * mean)
+            .with_jitter_seed(seed)
+            .salvaging_in_flight()
+            .draining_on_crash();
+        if plan == 2 {
+            policy = policy.with_hedging(0.9, 0.5 * mean).with_hedge_window(64);
+        }
         cluster = cluster
             .with_fault_plan(eventful_plan(duration))
-            .with_request_policy(
-                RequestPolicy::new()
-                    .with_timeout(8.0 * mean)
-                    .with_retries(4, mean, 16.0 * mean)
-                    .with_jitter_seed(seed)
-                    .salvaging_in_flight()
-                    .draining_on_crash(),
-            );
+            .with_request_policy(policy);
     }
     cluster
 }
@@ -142,18 +144,18 @@ fn run_streamed_is_bitwise_identical_across_the_grid_and_thread_counts() {
     let spec = SweepSpec::new()
         .axis("router", 2)
         .axis("fleet", fleets.len())
-        .axis("plan", 2)
+        .axis("plan", 3)
         .axis("seed", seeds.len());
 
     let cell = |c: &rubik_sweep::Cell<'_>| {
         let config = SimConfig::paper_simulated();
         let fleet = fleets[c.get("fleet")];
         let seed = seeds[c.get("seed")];
-        let faulted = c.get("plan") == 1;
+        let plan = c.get("plan");
         let requests = 100 * fleet;
         let trace = fleet_trace(&AppProfile::masstree(), 0.5, fleet, requests, seed);
         let duration = trace.duration();
-        let build = || cell_cluster(&config, fleet, c.get("router"), faulted, duration, seed);
+        let build = || cell_cluster(&config, fleet, c.get("router"), plan, duration, seed);
 
         // Contender 1: the classic batch path.
         let (batch_o, batch_r) = build().run_with_results(&trace);
@@ -311,12 +313,4 @@ fn run_streamed_rejects_out_of_order_sources() {
         err.to_string().contains("time-ordered"),
         "error message should state the contract: {err}"
     );
-    // The sharded path surfaces the same typed error.
-    let sharded_err = build()
-        .run_sharded_streamed(rubik_cluster::ShardSpec::new(2), Backwards(0))
-        .expect_err("the sharded path must reject out-of-order sources too");
-    assert!(matches!(
-        sharded_err,
-        rubik_cluster::ClusterError::OutOfOrderArrival { index: 1, .. }
-    ));
 }
