@@ -25,11 +25,16 @@
 //! The periodic rebuild is incremental and allocation-free end to end. The
 //! controller owns a persistent [`TableBuilder`] (cached FFT plans, reused
 //! ladder buffers) plus two persistent [`Histogram`]s the profiler's
-//! incrementally maintained bucket counts are materialized into, and it
-//! **version-gates** the whole rebuild: [`OnlineProfiler::version`] is
-//! bumped on every recorded sample, so a tick on which no request completed
-//! short-circuits in nanoseconds — identical histograms would rebuild
-//! identical tables, so skipping changes no output bit.
+//! incrementally maintained bucket counts are materialized into. The
+//! builder runs one spectral ladder per distinct base PMF — one for both
+//! tables when the compute and memory PMFs are the same bits, as they are
+//! when one work factor scales both — and resolves each entry with
+//! windowed probes (see [`crate::tables`], "Build cost" and "Rebuild
+//! cost"). The controller also **version-gates** the whole rebuild:
+//! [`OnlineProfiler::version`] is bumped on every recorded sample, so a
+//! tick on which no request completed short-circuits in nanoseconds —
+//! identical histograms would rebuild identical tables, so skipping changes
+//! no output bit.
 //! [`RubikStats::table_rebuilds_performed`] /
 //! [`RubikStats::table_rebuilds_skipped`] count the two cases.
 //!

@@ -27,14 +27,30 @@
 //! ([`rubik_stats::fft::Spectrum::mul_assign`]), and each rung is shared by
 //! *all* progress rows — `O(rows + cutoff)` transforms total. Per rung, a
 //! single running-CDF pass accumulates the rung's prefix sums; each table
-//! entry is then the `q`-quantile of `cond_row ⊛ base^⊛i`, found by
-//! bisecting that shared CDF (evaluating
+//! entry is then the `q`-quantile of `cond_row ⊛ base^⊛i`, found by probing
+//! that shared CDF (evaluating
 //! `P[X_row + Y_i ≤ t] = Σ_a pmf_row[a]·CDF_i[t−a]` directly) without ever
 //! materializing the per-row convolution. The reference per-row builder is
 //! kept as [`TailTable::build_direct`] and the two are checked against each
 //! other by the equivalence tests in
 //! `crates/core/tests/spectral_equivalence.rs` and benchmarked by
 //! `crates/bench/benches/table_rebuild.rs`.
+//!
+//! **One ladder per distinct base PMF.** The rungs and every quantile
+//! index are pure functions of the base PMF's bits, the rung and `q`; the
+//! bucket width only scales the stored value `(t+1)·w`. Workloads draw a
+//! request's compute cycles and memory time from one work factor, so both
+//! channels land every sample in the same bucket and their trimmed PMFs are
+//! often the same bits at different widths. The builder then runs **one**
+//! ladder for both tables: one transform, inverse and CDF pass per rung. A
+//! memory row whose conditional PMF is the same bits as the compute row's
+//! copies its index; the other memory rows probe the same rung CDF.
+//! Boundaries, moments and the position-0 column are still computed per
+//! table from its own width. Otherwise each table runs its own ladder.
+//! The check costs one pass over the two PMFs, and the path has no switch:
+//! its tables are the bits two ladders would give.
+//! `crates/core/tests/ladder_sharing.rs` pins the shared tables bitwise to
+//! separate builds.
 //!
 //! # Rebuild cost: incremental builder
 //!
@@ -49,19 +65,24 @@
 //!   of the deepest rung's size (the running product at the final size
 //!   receives exactly the same pointwise-product sequence as before, so deep
 //!   rungs are bit-identical to the single-size ladder).
-//! * **Buffer reuse.** The trimmed base, the per-row conditionals, the
+//! * **Buffer reuse.** The trimmed bases, the per-row conditionals, the
 //!   spectra, the rung PMF/CDF buffers, and the target's own row storage are
 //!   all reused across rebuilds via `*_into` APIs
 //!   ([`TableBuilder::build_with_into`] writes into an existing
 //!   [`TargetTailTables`]), so a warm rebuild performs **zero allocations**
-//!   once every buffer has reached its high-water size.
-//! * **Warm-start quantile bisection.** Within one build, the quantile index
-//!   for a row is nondecreasing in queue depth and moves by at most the base
-//!   support per rung, so each bisection brackets from the previous rung's
-//!   answer instead of the full support (falling back to the full bracket if
-//!   the windowed one does not straddle the target, so results are exactly
-//!   the ones the full-range bisection returns). The inner dot product is
-//!   also trimmed to the conditional's non-zero support.
+//!   once every buffer has reached its high-water size, on the one-ladder
+//!   path and the two-ladder path alike.
+//! * **Windowed probes.** Each rung's CDF is written into a padded buffer —
+//!   zeros below its support, the total mass above — so one probe of
+//!   `P[X_row + Y_i ≤ t]` is one branch-free loop over the conditional's
+//!   non-zero support. A pass probes 8 consecutive `t`s at once, each into
+//!   its own accumulator summed in the same ascending order as the
+//!   unpadded sum, so every probe is the same bits. The first window sits
+//!   at the row's previous answer plus its previous increment and steps up
+//!   or down until it brackets the answer; after a few windows each window
+//!   bisects the remaining bracket instead. The CDF is monotone in `t`, so
+//!   every placement returns the same minimal index — the placement sets
+//!   the probe count (about one pass per entry), never the result.
 //!
 //! [`TargetTailTables::build`]/[`TargetTailTables::build_with`] remain as
 //! thin wrappers over a throwaway builder, and the controller skips the
@@ -109,6 +130,7 @@
 //! with no transcendental math on the decision path.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::{Arc, Weak};
 
 use rubik_stats::fft::{Complex, FftPlan, Spectrum};
@@ -259,100 +281,128 @@ impl TailTable {
     }
 }
 
-/// The `q`-quantile of `X + Y_i` where `X` has `cond_pmf` (bucket index `a` ↦
-/// value `(a+1)·w`) and `Y_i` is the ladder rung with running CDF `rung_cdf`
-/// (index `b` ↦ value `(b+i)·w`, the `i` accounting for the upper-edge
-/// representative of each of the `i` summands). Returns the combined bucket
-/// index `t` (value `(t+1)·w`): the smallest `t` with
-/// `P[a + b + i ≤ t] ≥ q − ε`, found by bisection; each CDF evaluation is a
-/// dot product of the conditioned PMF — trimmed to its non-zero support
-/// `[first, last]` — with a shifted window of the shared rung CDF.
+/// Probes evaluated per pass of a quantile search (see [`RungCdf::quantile`]).
+const WINDOW: usize = 8;
+
+/// Passes a quantile search steps its window from the guess before it
+/// bisects the remaining bracket instead.
+const WINDOW_PASSES: usize = 3;
+
+/// Whether two PMFs are the same bits, entry for entry.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The running CDF of ladder rung `Y_i = base^⊛i`, padded so that every
+/// evaluation of `P[X + Y_i ≤ t]` is one branch-free loop: `pad` zeros
+/// below the rung's support, then its `support` prefix sums, then copies of
+/// the total mass.
 ///
-/// `warm` carries the previous rung's answer for this row. The quantile is
-/// nondecreasing across rungs (each rung adds an independent non-negative
-/// draw) and advances by at most `base_len` indices (the added draw is
-/// bounded by the base support), so `(warm, warm + base_len]` brackets the
-/// answer; the bracket is verified before use and the bisection falls back
-/// to the full range whenever it does not straddle the target. The CDF is
-/// monotone in `t` (a sum of nondecreasing non-negative terms), so every
-/// valid bracket converges to the same minimal `t` — warm starts change the
-/// probe count, never the result.
-fn quantile_of_sum(
-    cond_pmf: &[f64],
-    (first, last): (usize, usize),
-    rung_cdf: &[f64],
+/// `X` has a conditional PMF (bucket index `a` ↦ value `(a+1)·w`) and `Y_i`
+/// index `b` ↦ value `(b+i)·w` (the `i` accounts for the upper-edge
+/// representative of each of the `i` summands), so
+/// `P[a + b + i ≤ t] = Σ_a pmf[a]·CDF_i[t−i−a]`, summed over ascending `a`.
+/// The padding leaves each sum's bits those of the unpadded two-segment sum:
+/// a term below the support adds `p·0.0 = +0.0` to a non-negative
+/// accumulator, and a term past it is the same `p·total` product.
+struct RungCdf<'a> {
+    padded: &'a [f64],
+    pad: usize,
+    support: usize,
     i: usize,
-    q: f64,
-    warm: Option<(usize, usize)>,
-) -> usize {
-    let support = rung_cdf.len();
-    let total = rung_cdf[support - 1];
-    let cdf_at = |t: usize| -> f64 {
-        // P[a + b + i <= t] = Σ_a cond[a] · P[b <= t - i - a], accumulated
-        // over ascending a exactly like the naive branchy loop (adding a
-        // zero-mass term is a floating-point no-op, so the zero-skip branch
-        // is dropped), but split into the two structural segments — shift
-        // beyond the rung support (CDF saturates at `total`) and shift
-        // inside it — so both run as zipped slices with no per-element
-        // branches or bounds checks.
-        let Some(ti) = t.checked_sub(i) else {
-            return 0.0;
-        };
-        // Terms with a > t - i have empty windows (P[b < 0] = 0).
-        let a_hi = last.min(ti);
-        if a_hi < first {
-            return 0.0;
+}
+
+impl<'a> RungCdf<'a> {
+    /// Turns rung `i`'s PMF in `buf[..support]` into its padded CDF, in
+    /// place: the single running-CDF pass, clamping FFT round-off (a
+    /// convolution of PMFs cannot go negative), is shifted up past `pad`
+    /// zeros and followed by copies of the total, with room for a window
+    /// past the largest index with mass of any conditional at most `pad`
+    /// long.
+    fn write(buf: &'a mut Vec<f64>, support: usize, pad: usize, i: usize) -> Self {
+        let mut cum = 0.0;
+        for p in &mut buf[..support] {
+            cum += p.max(0.0);
+            *p = cum;
         }
-        let mut acc = 0.0;
-        // Segment 1: a <= ti - support ⟹ shift >= support ⟹ CDF = total.
-        let mut a = first;
-        if let Some(saturated_end) = ti.checked_sub(support) {
-            let end = saturated_end.min(a_hi);
-            if end >= a {
-                for &p in &cond_pmf[a..=end] {
-                    acc += p * total;
-                }
-                a = end + 1;
-            }
+        buf.truncate(support);
+        buf.resize(pad + support, 0.0);
+        buf.copy_within(..support, pad);
+        buf[..pad].fill(0.0);
+        buf.resize(pad + support + pad + WINDOW, cum);
+        Self {
+            padded: buf,
+            pad,
+            support,
+            i,
         }
-        // Segment 2: the in-support window, rung CDF read back-to-front as
-        // a ascends (shift = ti - a descends).
-        if a <= a_hi {
-            let window = &rung_cdf[ti - a_hi..=ti - a];
-            for (&p, &cdf) in cond_pmf[a..=a_hi].iter().zip(window.iter().rev()) {
-                acc += p * cdf;
+    }
+
+    /// `P[X + Y_i ≤ t]` at the [`WINDOW`] consecutive points
+    /// `t = start..start + WINDOW`, one independent accumulator per point,
+    /// each summed over the conditional's non-zero support `[first, last]`
+    /// in ascending `a`. Needs `start ≥ i`, `pad > last`, and the padded
+    /// buffer to reach past the last point.
+    fn probe(&self, pmf: &[f64], (first, last): (usize, usize), start: usize) -> [f64; WINDOW] {
+        let mut acc = [0.0; WINDOW];
+        // CDF index of the first point's term for a = 0.
+        let origin = self.pad + start - self.i;
+        for (a, &p) in (first..).zip(&pmf[first..=last]) {
+            let j = origin - a;
+            let window: &[f64; WINDOW] = self.padded[j..j + WINDOW]
+                .try_into()
+                .expect("window is WINDOW long");
+            for (acc, &cdf) in acc.iter_mut().zip(window) {
+                *acc += p * cdf;
             }
         }
         acc
-    };
-
-    let full_hi = cond_pmf.len() - 1 + (support - 1) + i;
-    let (mut lo, mut hi) = match warm {
-        Some((prev, base_len))
-            if prev < full_hi
-                && cdf_at(prev) < q - QUANTILE_EPS
-                && cdf_at((prev + base_len).min(full_hi)) >= q - QUANTILE_EPS =>
-        {
-            (prev, (prev + base_len).min(full_hi))
-        }
-        _ => {
-            let lo = i; // a = 0, b = 0
-            if cdf_at(lo) >= q - QUANTILE_EPS {
-                return lo;
-            }
-            (lo, full_hi)
-        }
-    };
-    // Invariant: cdf_at(lo) < q - ε <= cdf_at(hi) (hi covers all mass).
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if cdf_at(mid) >= q - QUANTILE_EPS {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
     }
-    hi
+
+    /// The `q`-quantile of `X + Y_i` as a combined bucket index `t` (value
+    /// `(t+1)·w`): the smallest `t ∈ [i, full_hi]` with
+    /// `P[X + Y_i ≤ t] ≥ target`, or `full_hi` if none qualifies, where
+    /// `full_hi` is the largest index with mass.
+    ///
+    /// The first passes probe a window of [`WINDOW`] consecutive indices
+    /// around `guess` and step it up or down until it brackets the answer;
+    /// after [`WINDOW_PASSES`] each window bisects the remaining bracket.
+    /// The CDF is monotone in `t` (a sum of nondecreasing non-negative
+    /// terms), so every placement of the windows converges to the same
+    /// index: `guess` changes the probe count, never the result.
+    fn quantile(&self, pmf: &[f64], nnz: (usize, usize), target: f64, guess: usize) -> usize {
+        let full_hi = pmf.len() - 1 + (self.support - 1) + self.i;
+        // Invariant: the answer lies in [lo, hi]. Every t < lo falls short
+        // of the target; hi reaches it or is full_hi.
+        let (mut lo, mut hi) = (self.i, full_hi);
+        let mut next = guess.saturating_sub(WINDOW / 2);
+        for pass in 0.. {
+            let start = if hi - lo < WINDOW {
+                lo
+            } else if pass < WINDOW_PASSES {
+                next.clamp(lo, hi + 1 - WINDOW)
+            } else {
+                (lo + hi + 1 - WINDOW) / 2
+            };
+            let cdf = self.probe(pmf, nnz, start);
+            match cdf.iter().position(|&c| c >= target) {
+                // Every index below start + k falls short. A window that
+                // runs past hi (only when the bracket is narrower than it)
+                // cannot put the answer beyond hi.
+                Some(k) if k > 0 || start == lo => return (start + k).min(hi),
+                Some(_) => {
+                    hi = start;
+                    next = hi.saturating_sub(WINDOW);
+                }
+                None if start + WINDOW > hi => return hi,
+                None => {
+                    lo = start + WINDOW;
+                    next = lo;
+                }
+            }
+        }
+        unreachable!("every pass shrinks the bracket")
+    }
 }
 
 /// The pair of precomputed tables Rubik consults on every decision.
@@ -407,58 +457,73 @@ impl TailsCursor<'_> {
 /// incremental builder").
 ///
 /// The controller owns one of these across its lifetime: FFT plans are
-/// cached per transform size, and every working buffer — the trimmed base,
+/// cached per transform size, and every working buffer — the trimmed bases,
 /// per-row conditionals, spectra, rung PMF/CDF — is reused from rebuild to
 /// rebuild, so a warm [`TableBuilder::build_with_into`] performs no
 /// allocation once the buffers have reached their high-water sizes. One-off
 /// callers go through [`TargetTailTables::build`], which spins up a
 /// throwaway builder.
-#[derive(Debug, Clone)]
+///
+/// A new builder is one null pointer: its working state is allocated by
+/// its first build, so a controller whose tables come from the shared
+/// registry pays nothing for a builder it has not used.
+#[derive(Debug, Clone, Default)]
 pub struct TableBuilder {
+    state: Option<Box<BuilderState>>,
+}
+
+/// A [`TableBuilder`]'s working state.
+#[derive(Debug, Clone)]
+struct BuilderState {
+    /// Trimmed copies of the compute and memory histograms.
+    bases: [Histogram; 2],
+    /// Scratch for conditioning a base on a row's boundary.
+    cond: Histogram,
+    /// The compute and memory tables' progress rows.
+    row_sets: [RowSet; 2],
+    ladder: Ladder,
+}
+
+/// One table's progress rows while the ladder runs.
+#[derive(Debug, Clone, Default)]
+struct RowSet {
+    /// Every row's conditional PMF, back to back.
+    pmfs: Vec<f64>,
+    /// Per row: where its conditional PMF lies in `pmfs`, and that PMF's
+    /// non-zero support `[first, last]`.
+    spans: Vec<Range<usize>>,
+    nnz: Vec<(usize, usize)>,
+    /// Per row: the last resolved quantile index, and where the next rung's
+    /// search starts (that index plus its last increment).
+    prev_t: Vec<usize>,
+    guess: Vec<usize>,
+    /// Per row: the conditional's bits equal the leading row set's, so the
+    /// row copies that set's quantile index instead of searching.
+    follows: Vec<bool>,
+    /// The table's bucket width.
+    width: f64,
+}
+
+/// The spectral ladder's state: cached plans and per-rung buffers.
+#[derive(Debug, Clone, Default)]
+struct Ladder {
     /// FFT plans cached by transform size (a handful of powers of two).
     plans: Vec<FftPlan>,
     /// Packed-FFT scratch shared by all transforms.
     scratch: Vec<Complex>,
-    /// Trimmed copy of the histogram under construction.
-    base: Histogram,
-    /// Per-row conditional distributions.
-    conds: Vec<Histogram>,
-    /// Non-zero support `[first, last]` of each row's conditional PMF.
-    row_nnz: Vec<(usize, usize)>,
-    /// Previous rung's quantile index per row (warm-start bisection).
-    prev_t: Vec<usize>,
     /// Spectrum of the trimmed base at the current ladder size.
     base_spec: Spectrum,
     /// Running product `base_spec^i`.
     running: Spectrum,
-    /// Time-domain rung `base^⊛i`.
-    rung_pmf: Vec<f64>,
-    /// Running CDF of the current rung.
-    rung_cdf: Vec<f64>,
-}
-
-impl Default for TableBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Time-domain rung `base^⊛i`, then its padded CDF (see [`RungCdf`]).
+    rung: Vec<f64>,
 }
 
 impl TableBuilder {
     /// Creates an empty builder; buffers grow to their steady-state sizes on
     /// first use.
     pub fn new() -> Self {
-        Self {
-            plans: Vec::new(),
-            scratch: Vec::new(),
-            base: Histogram::zero(),
-            conds: Vec::new(),
-            row_nnz: Vec::new(),
-            prev_t: Vec::new(),
-            base_spec: Spectrum::default(),
-            running: Spectrum::default(),
-            rung_pmf: Vec::new(),
-            rung_cdf: Vec::new(),
-        }
+        Self { state: None }
     }
 
     /// Builds a fresh pair of tables with the paper's default shape. Warm
@@ -516,6 +581,9 @@ impl TableBuilder {
     /// controller's warm path: bit-identical results to
     /// [`TargetTailTables::build_with`], zero steady-state allocations.
     ///
+    /// When the trimmed compute and memory PMFs are the same bits, one
+    /// ladder fills both tables (see the module docs, "Rebuild cost").
+    ///
     /// # Panics
     ///
     /// Panics if `quantile` is not in `(0, 1)`, or `rows`/`cutoff` are zero.
@@ -533,47 +601,82 @@ impl TableBuilder {
             "quantile must be in (0, 1)"
         );
         assert!(rows > 0 && cutoff > 0, "table dimensions must be positive");
-        self.build_table_into(compute, quantile, rows, cutoff, &mut out.compute);
+        let BuilderState {
+            bases: [compute_base, memory_base],
+            cond,
+            row_sets: [compute_rows, memory_rows],
+            ladder,
+        } = &mut **self.state.get_or_insert_with(|| {
+            Box::new(BuilderState {
+                bases: [Histogram::zero(), Histogram::zero()],
+                cond: Histogram::zero(),
+                row_sets: Default::default(),
+                ladder: Ladder::default(),
+            })
+        });
+        // Trim negligible tail mass so the transform size stays small.
+        compute.trim_tail_into(1e-9, compute_base);
+        compute_rows.prepare(compute_base, cond, quantile, rows, cutoff, &mut out.compute);
         if memory.mean() < NEGLIGIBLE_MEM_TIME {
             out.memory.zero_into(rows, cutoff);
+            ladder.run(
+                compute_base,
+                &mut [(compute_rows, &mut out.compute)],
+                quantile,
+                cutoff,
+            );
         } else {
-            self.build_table_into(memory, quantile, rows, cutoff, &mut out.memory);
+            memory.trim_tail_into(1e-9, memory_base);
+            memory_rows.prepare(memory_base, cond, quantile, rows, cutoff, &mut out.memory);
+            if same_bits(compute_base.pmf(), memory_base.pmf()) {
+                memory_rows.follow(compute_rows);
+                ladder.run(
+                    compute_base,
+                    &mut [
+                        (compute_rows, &mut out.compute),
+                        (memory_rows, &mut out.memory),
+                    ],
+                    quantile,
+                    cutoff,
+                );
+            } else {
+                ladder.run(
+                    compute_base,
+                    &mut [(compute_rows, &mut out.compute)],
+                    quantile,
+                    cutoff,
+                );
+                ladder.run(
+                    memory_base,
+                    &mut [(memory_rows, &mut out.memory)],
+                    quantile,
+                    cutoff,
+                );
+            }
         }
         out.quantile = quantile;
         out.cutoff = cutoff;
         out.tail = GaussianTail::new(quantile);
     }
+}
 
-    /// Builds one table into `out` (see the module docs for the ladder
-    /// scheme).
-    fn build_table_into(
+impl RowSet {
+    /// Row setup for the table of `base` (already trimmed): boundaries,
+    /// conditionals with their non-zero support, moments, and the
+    /// position-0 column — all into reused storage. Clears `follows`.
+    fn prepare(
         &mut self,
-        hist: &Histogram,
+        base: &Histogram,
+        cond: &mut Histogram,
         quantile: f64,
         rows: usize,
         cutoff: usize,
         out: &mut TailTable,
     ) {
-        let Self {
-            plans,
-            scratch,
-            base,
-            conds,
-            row_nnz,
-            prev_t,
-            base_spec,
-            running,
-            rung_pmf,
-            rung_cdf,
-        } = self;
-
-        // Trim negligible tail mass so the transform size stays small.
-        hist.trim_tail_into(1e-9, base);
-        let width = base.bucket_width();
-        let base_len = base.pmf().len();
-
-        // Row setup: boundaries, conditionals (with their non-zero support),
-        // moments, and the position-0 column — all into reused storage.
+        self.width = base.bucket_width();
+        // A first guess at rung 1's increment over position 0: the base's
+        // median index plus the one index each added summand contributes.
+        let step = base.quantile_bucket(0.5) + 1;
         out.boundaries.clear();
         out.cond_mean.clear();
         out.cond_var.clear();
@@ -581,92 +684,138 @@ impl TableBuilder {
         while out.rows.len() < rows {
             out.rows.push(Vec::new());
         }
-        if conds.len() < rows {
-            conds.resize(rows, Histogram::zero());
-        }
-        row_nnz.clear();
-        prev_t.clear();
+        self.pmfs.clear();
+        self.spans.clear();
+        self.nnz.clear();
+        self.prev_t.clear();
+        self.guess.clear();
+        self.follows.clear();
+        self.follows.resize(rows, false);
         for row in 0..rows {
             let boundary = row_boundary(base, row, rows);
             out.boundaries.push(boundary);
-            let cond = &mut conds[row];
             base.conditional_on_elapsed_into(boundary, cond);
             out.cond_mean.push(cond.mean());
             out.cond_var.push(cond.variance());
             let pmf = cond.pmf();
+            let start = self.pmfs.len();
+            self.pmfs.extend_from_slice(pmf);
+            self.spans.push(start..self.pmfs.len());
             let first = pmf
                 .iter()
                 .position(|&p| p != 0.0)
                 .expect("conditional PMF has mass");
             let last = pmf.iter().rposition(|&p| p != 0.0).expect("has mass");
-            row_nnz.push((first, last));
+            self.nnz.push((first, last));
             // Position 0 needs no convolution: the conditioned distribution's
-            // own quantile (also the warm start for rung 1).
+            // own quantile (also where rung 1's search starts from).
             let j0 = cond.quantile_bucket(quantile);
             let row_vals = &mut out.rows[row];
             row_vals.clear();
             row_vals.reserve(cutoff);
             row_vals.push(cond.bucket_value(j0));
-            prev_t.push(j0);
+            self.prev_t.push(j0);
+            self.guess.push(j0 + step);
         }
         out.mean = base.mean();
         out.var = base.variance();
+    }
 
-        if cutoff > 1 {
-            // Right-sized ladder: rung base^⊛i has linear-convolution support
-            // i(len−1)+1, so early rungs transform at small power-of-two
-            // sizes. When the size steps up, the running product at the new
-            // size is caught up with the same pointwise-product sequence a
-            // single-size ladder would have applied, so rungs at the deepest
-            // size are bit-identical to the uniform-size build.
-            let mut cur_size = 0usize;
-            let mut exp = 0usize;
-            for i in 1..cutoff {
-                let support = i * (base_len - 1) + 1;
-                if i > 1 {
-                    let size = support.next_power_of_two().max(2);
-                    let plan_idx = if size != cur_size {
-                        let idx = plan_index(plans, size);
-                        plans[idx].forward_into(base.pmf(), scratch, base_spec);
-                        running.clone_from(base_spec);
-                        exp = 1;
-                        cur_size = size;
-                        idx
-                    } else {
-                        plan_index(plans, size)
-                    };
-                    while exp < i {
-                        running.mul_assign(base_spec);
-                        exp += 1;
-                    }
-                    plans[plan_idx].inverse_into(running, scratch, rung_pmf);
+    /// Row `row`'s conditional PMF.
+    fn pmf(&self, row: usize) -> &[f64] {
+        &self.pmfs[self.spans[row].clone()]
+    }
+
+    /// Marks each row whose conditional PMF is the same bits as `leader`'s
+    /// row: its quantile index at every rung is the leader's.
+    fn follow(&mut self, leader: &RowSet) {
+        for row in 0..self.follows.len() {
+            self.follows[row] = same_bits(self.pmf(row), leader.pmf(row));
+        }
+    }
+
+    /// Resolves every row's entry for one rung and appends it to `out`. A
+    /// row that follows `leader` copies the index the leader resolved for
+    /// this rung.
+    fn resolve(
+        &mut self,
+        rung: &RungCdf<'_>,
+        target: f64,
+        leader: Option<&RowSet>,
+        out: &mut TailTable,
+    ) {
+        for row in 0..self.prev_t.len() {
+            let t = match leader {
+                Some(leader) if self.follows[row] => leader.prev_t[row],
+                _ => rung.quantile(self.pmf(row), self.nnz[row], target, self.guess[row]),
+            };
+            let prev = std::mem::replace(&mut self.prev_t[row], t);
+            self.guess[row] = t + t.saturating_sub(prev);
+            out.rows[row].push((t + 1) as f64 * self.width);
+        }
+    }
+}
+
+impl Ladder {
+    /// Fills positions `1..cutoff` of each table in `sets` (see the module
+    /// docs for the ladder scheme). Every set's conditionals are resolved
+    /// against the rungs of `base`, so the sets must share its PMF bits;
+    /// a set that follows the first copies its indices where it can.
+    fn run(
+        &mut self,
+        base: &Histogram,
+        sets: &mut [(&mut RowSet, &mut TailTable)],
+        quantile: f64,
+        cutoff: usize,
+    ) {
+        let Self {
+            plans,
+            scratch,
+            base_spec,
+            running,
+            rung,
+        } = self;
+        let base_len = base.pmf().len();
+        let target = quantile - QUANTILE_EPS;
+        // Right-sized ladder: rung base^⊛i has linear-convolution support
+        // i(len−1)+1, so early rungs transform at small power-of-two
+        // sizes. When the size steps up, the running product at the new
+        // size is caught up with the same pointwise-product sequence a
+        // single-size ladder would have applied, so rungs at the deepest
+        // size are bit-identical to the uniform-size build.
+        let mut cur_size = 0usize;
+        let mut exp = 0usize;
+        for i in 1..cutoff {
+            let support = i * (base_len - 1) + 1;
+            if i > 1 {
+                let size = support.next_power_of_two().max(2);
+                let plan_idx = if size != cur_size {
+                    let idx = plan_index(plans, size);
+                    plans[idx].forward_into(base.pmf(), scratch, base_spec);
+                    running.clone_from(base_spec);
+                    exp = 1;
+                    cur_size = size;
+                    idx
                 } else {
-                    // Rung 1 *is* the base PMF — no transform needed.
-                    rung_pmf.clear();
-                    rung_pmf.extend_from_slice(base.pmf());
+                    plan_index(plans, size)
+                };
+                while exp < i {
+                    running.mul_assign(base_spec);
+                    exp += 1;
                 }
+                plans[plan_idx].inverse_into(running, scratch, rung);
+            } else {
+                // Rung 1 *is* the base PMF — no transform needed.
+                rung.clear();
+                rung.extend_from_slice(base.pmf());
+            }
 
-                // The single running-CDF pass over this rung, clamping FFT
-                // round-off (a convolution of PMFs cannot go negative).
-                rung_cdf.clear();
-                let mut cum = 0.0;
-                for &p in &rung_pmf[..support] {
-                    cum += p.max(0.0);
-                    rung_cdf.push(cum);
-                }
+            let rung = RungCdf::write(rung, support, base_len, i);
 
-                for (row, cond) in conds.iter().enumerate().take(rows) {
-                    let t = quantile_of_sum(
-                        cond.pmf(),
-                        row_nnz[row],
-                        rung_cdf,
-                        i,
-                        quantile,
-                        Some((prev_t[row], base_len)),
-                    );
-                    prev_t[row] = t;
-                    out.rows[row].push((t + 1) as f64 * width);
-                }
+            let (leader, followers) = sets.split_first_mut().expect("at least one row set");
+            leader.0.resolve(&rung, target, None, leader.1);
+            for (set, out) in followers {
+                set.resolve(&rung, target, Some(leader.0), out);
             }
         }
     }
@@ -1084,6 +1233,112 @@ mod tests {
             let p = p.max(0.0);
             assert_eq!(t.compute.row_for(p), linear(p), "elapsed {p}");
         }
+    }
+
+    /// The unpadded sum the padded probes must reproduce bit for bit:
+    /// `P[X + Y_i ≤ t]` split into the saturated segment (shift past the
+    /// rung support reads the total) and the in-support window, both over
+    /// ascending `a`, with the terms past `t − i` left out.
+    fn reference_cdf(
+        pmf: &[f64],
+        (first, last): (usize, usize),
+        cdf: &[f64],
+        i: usize,
+        t: usize,
+    ) -> f64 {
+        let Some(ti) = t.checked_sub(i) else {
+            return 0.0;
+        };
+        let support = cdf.len();
+        let total = cdf[support - 1];
+        let mut acc = 0.0;
+        for a in first..=last.min(ti) {
+            let shift = ti - a;
+            acc += pmf[a] * if shift >= support { total } else { cdf[shift] };
+        }
+        acc
+    }
+
+    fn nnz(pmf: &[f64]) -> (usize, usize) {
+        let first = pmf.iter().position(|&p| p != 0.0).unwrap();
+        (first, pmf.iter().rposition(|&p| p != 0.0).unwrap())
+    }
+
+    #[test]
+    fn windowed_search_equals_a_linear_scan() {
+        let mut rng = DeterministicRng::new(15);
+        let bimodal: Vec<f64> = (0..40)
+            .map(|k| if k == 3 || k == 31 { 0.5 } else { 0.0 })
+            .collect();
+        let heavy: Vec<f64> = (0..60).map(|k| 1.0 / ((k + 1) as f64).powf(1.5)).collect();
+        let spread: Vec<f64> = (0..25).map(|_| rng.uniform()).collect();
+        let conds: Vec<Vec<f64>> = vec![
+            vec![1.0],                // single bucket
+            vec![0.0, 0.0, 0.0, 1.0], // point mass off the origin
+            bimodal,
+            heavy.clone(),
+            spread,
+        ];
+        // Rungs: a point mass, a spread, a heavy tail, one with FFT-style
+        // negative round-off, and one whose total falls short of every
+        // quantile below, so no index qualifies.
+        let rungs: Vec<Vec<f64>> = vec![
+            vec![1.0],
+            (0..90)
+                .map(|k| ((k as f64) * 0.3).sin().abs() / 45.0)
+                .collect(),
+            heavy.iter().map(|p| p / 2.6).collect(),
+            (0..70)
+                .map(|k| if k % 7 == 0 { -1e-18 } else { 1.0 / 60.0 })
+                .collect(),
+            vec![0.1; 8],
+        ];
+        let quantiles = [1e-9, 0.05, 0.5, 0.95, 0.999, 1.0 - 1e-9];
+        let mut buf = Vec::new();
+        let mut outcomes = [false; 3]; // t = i, interior, full_hi sentinel
+        for cond in &conds {
+            let nz = nnz(cond);
+            for rung_pmf in &rungs {
+                for i in [1, 2, 9] {
+                    let pad = cond.len().max(4);
+                    buf.clone_from(rung_pmf);
+                    let rung = RungCdf::write(&mut buf, rung_pmf.len(), pad, i);
+                    let cdf: Vec<f64> = rung.padded[pad..pad + rung.support].to_vec();
+                    let full_hi = cond.len() - 1 + rung.support - 1 + i;
+                    // Every probe of every window is the reference sum's
+                    // bits.
+                    for start in i..=full_hi {
+                        let probe = rung.probe(cond, nz, start);
+                        for (t, got) in (start..).zip(probe) {
+                            let want = reference_cdf(cond, nz, &cdf, i, t);
+                            assert_eq!(got.to_bits(), want.to_bits(), "t = {t}");
+                        }
+                    }
+                    for &q in &quantiles {
+                        let target = q - QUANTILE_EPS;
+                        let linear = (i..=full_hi)
+                            .find(|&t| reference_cdf(cond, nz, &cdf, i, t) >= target)
+                            .unwrap_or(full_hi);
+                        let kind = if linear == i {
+                            0
+                        } else if reference_cdf(cond, nz, &cdf, i, full_hi) < target {
+                            2
+                        } else {
+                            1
+                        };
+                        outcomes[kind] = true;
+                        for guess in (0..full_hi + 2 * WINDOW).chain([usize::MAX / 2]) {
+                            assert_eq!(
+                                rung.quantile(cond, nz, target, guess),
+                                linear,
+                                "cond {cond:?}, i {i}, q {q}, guess {guess}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(outcomes, [true; 3], "every exit of the search is covered");
     }
 
     #[test]

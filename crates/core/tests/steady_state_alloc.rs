@@ -9,6 +9,10 @@
 //! "incremental, allocation-free rebuilds" contract: the 100 ms tick costs
 //! arithmetic, never the allocator.
 //!
+//! The same holds when one work factor scales both channels, so the
+//! compute and memory PMFs are the same bits and one ladder fills both
+//! tables.
+//!
 //! Controllers seeded from one profile share their tables, so the same
 //! holds after a shared table's one copy-on-write, and a seed served from
 //! the shared-build registry allocates less than a cold build.
@@ -16,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rubik_core::{RubikConfig, RubikController};
+use rubik_core::{OnlineProfiler, RubikConfig, RubikController};
 use rubik_sim::{DvfsConfig, DvfsPolicy, InServiceView, QueuedView, RequestRecord, ServerState};
 use rubik_stats::DeterministicRng;
 
@@ -114,21 +118,14 @@ fn drive_cycle(
     *queue = std::mem::take(&mut s.queued);
 }
 
-#[test]
-fn warm_completion_tick_arrival_cycle_allocates_nothing() {
+/// Seeds a controller from `demands`, warms it up, and asserts that 256
+/// steady-state cycles, each performing a rebuild, allocate nothing.
+fn assert_warm_cycles_allocate_nothing(demands: &[(f64, f64)]) {
     let dvfs = DvfsConfig::haswell_like();
     // Small profiling window so the test exercises eviction (and the
     // incremental count maintenance) on every cycle, not just appends.
-    let config = RubikConfig::new(2e-3).with_profiling_window(256);
+    let config = RubikConfig::new(2e-3).with_profiling_window(WINDOW);
     let mut rubik = RubikController::new(config, dvfs.clone());
-
-    // Demands are drawn up front from a fixed pool: the pool's maximum
-    // enters the window during warm-up, so the steady-state phase never
-    // grows the bucket grid past its high-water shape.
-    let mut rng = DeterministicRng::new(42);
-    let demands: Vec<(f64, f64)> = (0..64)
-        .map(|_| (rng.lognormal(1e6, 0.4), rng.lognormal(60e-6, 0.4)))
-        .collect();
     rubik.seed_profile(demands.iter().copied());
 
     let mut queue: Vec<QueuedView> = (1..4)
@@ -145,13 +142,13 @@ fn warm_completion_tick_arrival_cycle_allocates_nothing() {
     // recounts), saturate the rolling feedback window, and perform many
     // real rebuilds so every buffer reaches its high-water size.
     for cycle in 0..512 {
-        drive_cycle(&mut rubik, &dvfs, &demands, cycle, &mut queue);
+        drive_cycle(&mut rubik, &dvfs, demands, cycle, &mut queue);
     }
 
     let before_rebuilds = rubik.stats().table_rebuilds_performed;
     let before = allocations();
     for cycle in 512..768 {
-        drive_cycle(&mut rubik, &dvfs, &demands, cycle, &mut queue);
+        drive_cycle(&mut rubik, &dvfs, demands, cycle, &mut queue);
     }
     let after = allocations();
     let stats = rubik.stats();
@@ -168,6 +165,60 @@ fn warm_completion_tick_arrival_cycle_allocates_nothing() {
         0,
         "steady-state completion+tick+arrival cycles must not allocate"
     );
+}
+
+const WINDOW: usize = 256;
+
+/// Demands are drawn up front into a fixed pool: the pool's maximum enters
+/// the window during warm-up, so the steady-state phase never grows the
+/// bucket grid past its high-water shape.
+fn demand_pool(seed: u64, proportional: bool) -> Vec<(f64, f64)> {
+    let mut rng = DeterministicRng::new(seed);
+    (0..64)
+        .map(|_| {
+            if proportional {
+                let factor = rng.lognormal(1.0, 0.4);
+                (factor * 1e6, factor * 60e-6)
+            } else {
+                (rng.lognormal(1e6, 0.4), rng.lognormal(60e-6, 0.4))
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn warm_completion_tick_arrival_cycle_allocates_nothing() {
+    assert_warm_cycles_allocate_nothing(&demand_pool(42, false));
+}
+
+#[test]
+fn warm_rebuilds_on_one_shared_ladder_allocate_nothing() {
+    // One work factor scales both channels, as `WorkloadGenerator` draws
+    // them, so the two histograms are the same PMF bits and one ladder
+    // fills both tables.
+    let demands = demand_pool(42, true);
+    let mut profiler = OnlineProfiler::new(WINDOW);
+    profiler.seed(demands.iter().copied());
+    for cycle in 0..768 {
+        profiler.record(
+            demands[cycle % demands.len()].0,
+            demands[cycle % demands.len()].1,
+        );
+        if cycle >= 512 {
+            let (c, m) = (
+                profiler.compute_histogram().unwrap(),
+                profiler.membound_histogram().unwrap(),
+            );
+            assert!(
+                c.pmf()
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .eq(m.pmf().iter().map(|p| p.to_bits())),
+                "cycle {cycle}: the channels' PMFs differ, so the rebuild runs two ladders"
+            );
+        }
+    }
+    assert_warm_cycles_allocate_nothing(&demands);
 }
 
 #[test]

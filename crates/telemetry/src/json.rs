@@ -9,6 +9,8 @@
 //! Request ids are carried as JSON numbers and parsed through `f64`, which
 //! is exact for ids below 2^53 — far beyond any trace this crate produces.
 
+use std::fmt::Write;
+
 use crate::event::{RequestEvent, RequestEventKind, ServerEvent, ServerEventKind};
 use crate::fleet::{EpochSample, ServerSample};
 use crate::log::{RequestTrace, TraceLog};
@@ -17,12 +19,14 @@ use crate::log::{RequestTrace, TraceLog};
 pub const FORMAT: &str = "rubik-trace-v1";
 
 // ---------------------------------------------------------------------------
-// Writer
+// Writer. Each field goes through `write!` straight into the output
+// `String`. Writing to a `String` cannot fail, so the `fmt::Result` is
+// dropped.
 // ---------------------------------------------------------------------------
 
 fn push_f64(out: &mut String, v: f64) {
     debug_assert!(v.is_finite(), "trace times and powers are finite");
-    out.push_str(&format!("{v:?}"));
+    let _ = write!(out, "{v:?}");
 }
 
 fn push_request_event(out: &mut String, event: &RequestEvent) {
@@ -30,47 +34,44 @@ fn push_request_event(out: &mut String, event: &RequestEvent) {
     push_f64(out, event.at);
     match event.kind {
         RequestEventKind::Routed { server, attempt } => {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ",\"kind\":\"routed\",\"server\":{server},\"attempt\":{attempt}"
-            ));
+            );
         }
         RequestEventKind::TimedOut { server, attempt } => {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ",\"kind\":\"timed_out\",\"server\":{server},\"attempt\":{attempt}"
-            ));
+            );
         }
         RequestEventKind::Backoff { until } => {
             out.push_str(",\"kind\":\"backoff\",\"until\":");
             push_f64(out, until);
         }
         RequestEventKind::Salvaged { server } => {
-            out.push_str(&format!(",\"kind\":\"salvaged\",\"server\":{server}"));
+            let _ = write!(out, ",\"kind\":\"salvaged\",\"server\":{server}");
         }
         RequestEventKind::Requeued { from, to } => {
-            out.push_str(&format!(
-                ",\"kind\":\"requeued\",\"from\":{from},\"to\":{to}"
-            ));
+            let _ = write!(out, ",\"kind\":\"requeued\",\"from\":{from},\"to\":{to}");
         }
         RequestEventKind::Migrated { from, to } => {
-            out.push_str(&format!(
-                ",\"kind\":\"migrated\",\"from\":{from},\"to\":{to}"
-            ));
+            let _ = write!(out, ",\"kind\":\"migrated\",\"from\":{from},\"to\":{to}");
         }
         RequestEventKind::Dropped { server } => {
-            out.push_str(&format!(",\"kind\":\"dropped\",\"server\":{server}"));
+            let _ = write!(out, ",\"kind\":\"dropped\",\"server\":{server}");
         }
         RequestEventKind::Hedged { server, attempt } => {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ",\"kind\":\"hedged\",\"server\":{server},\"attempt\":{attempt}"
-            ));
+            );
         }
         RequestEventKind::HedgeWon { server } => {
-            out.push_str(&format!(",\"kind\":\"hedge_won\",\"server\":{server}"));
+            let _ = write!(out, ",\"kind\":\"hedge_won\",\"server\":{server}");
         }
         RequestEventKind::HedgeCancelled { server } => {
-            out.push_str(&format!(
-                ",\"kind\":\"hedge_cancelled\",\"server\":{server}"
-            ));
+            let _ = write!(out, ",\"kind\":\"hedge_cancelled\",\"server\":{server}");
         }
     }
     out.push('}');
@@ -79,7 +80,7 @@ fn push_request_event(out: &mut String, event: &RequestEvent) {
 fn push_server_event(out: &mut String, event: &ServerEvent) {
     out.push_str("{\"at\":");
     push_f64(out, event.at);
-    out.push_str(&format!(",\"server\":{}", event.server));
+    let _ = write!(out, ",\"server\":{}", event.server);
     match event.kind {
         ServerEventKind::Down => out.push_str(",\"kind\":\"down\""),
         ServerEventKind::Up => out.push_str(",\"kind\":\"up\""),
@@ -91,7 +92,9 @@ fn push_server_event(out: &mut String, event: &ServerEvent) {
         ServerEventKind::FreqStuck { mhz } => {
             out.push_str(",\"kind\":\"freq_stuck\",\"mhz\":");
             match mhz {
-                Some(mhz) => out.push_str(&mhz.to_string()),
+                Some(mhz) => {
+                    let _ = write!(out, "{mhz}");
+                }
                 None => out.push_str("null"),
             }
         }
@@ -107,7 +110,7 @@ fn push_opt_f64(out: &mut String, v: Option<f64>) {
 }
 
 fn push_request(out: &mut String, request: &RequestTrace) {
-    out.push_str(&format!("{{\"id\":{},\"arrival\":", request.id));
+    let _ = write!(out, "{{\"id\":{},\"arrival\":", request.id);
     push_f64(out, request.arrival);
     out.push_str(",\"start\":");
     push_opt_f64(out, request.start);
@@ -115,7 +118,9 @@ fn push_request(out: &mut String, request: &RequestTrace) {
     push_opt_f64(out, request.completion);
     out.push_str(",\"server\":");
     match request.server {
-        Some(server) => out.push_str(&server.to_string()),
+        Some(server) => {
+            let _ = write!(out, "{server}");
+        }
         None => out.push_str("null"),
     }
     out.push_str(",\"events\":[");
@@ -135,21 +140,23 @@ fn push_epoch(out: &mut String, epoch: &EpochSample) {
     push_f64(out, epoch.end);
     out.push_str(",\"power\":");
     push_f64(out, epoch.power);
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         ",\"queued\":{},\"in_flight\":{},\"completions\":{},\"retries\":{},\"timeouts\":{}",
         epoch.queued, epoch.in_flight, epoch.completions, epoch.retries, epoch.timeouts
-    ));
+    );
     out.push_str(",\"per_server\":[");
     for (i, server) in epoch.per_server.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"queued\":{},\"in_flight\":{},\"freq_mhz\":{},\"power\":",
             server.queued, server.in_flight, server.freq_mhz
-        ));
+        );
         push_f64(out, server.power);
-        out.push_str(&format!(",\"down\":{}}}", server.down));
+        let _ = write!(out, ",\"down\":{}}}", server.down);
     }
     out.push_str("]}");
 }
@@ -157,10 +164,11 @@ fn push_epoch(out: &mut String, epoch: &EpochSample) {
 /// Serialize a [`TraceLog`] as a `rubik-trace-v1` JSON document.
 pub fn to_json(log: &TraceLog) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "{{\"format\":\"{FORMAT}\",\"servers\":{},\"end\":",
         log.servers
-    ));
+    );
     push_f64(&mut out, log.end);
     out.push_str(",\n\"requests\":[");
     for (i, request) in log.requests.iter().enumerate() {
