@@ -27,6 +27,7 @@
 
 use rubik::core::{replay, replay_energy, replay_tail};
 use rubik::load::LoadShape;
+use rubik::sim::json::{JsonError, Reader};
 use rubik::{
     AdrenalineOracle, AppProfile, CorePowerModel, DynamicOracle, FixedFrequencyPolicy, Freq,
     RubikConfig, RubikController, RunResult, Server, SimConfig, StaticOracle, Telemetry, Trace,
@@ -445,53 +446,28 @@ pub fn merge_bench_section(path: &str, section: &str, body: &str) -> std::io::Re
 }
 
 /// Splits a JSON object's source text into its top-level `(key, raw value)`
-/// pairs. Handles nested objects/arrays and strings; returns `None` if the
-/// text is not a JSON object of string keys (e.g. a legacy flat file from
-/// before sections existed, which callers then simply replace).
+/// pairs, each value sliced from the text between the reader's offsets
+/// before and after skipping it. Returns `None` if the text is not a JSON
+/// object (e.g. a legacy flat file from before sections existed, which
+/// callers then simply replace).
 pub fn parse_top_level_sections(text: &str) -> Option<Vec<(String, String)>> {
-    let body = text.trim().strip_prefix('{')?.strip_suffix('}')?;
+    let json = &mut Reader::new(text.as_bytes());
     let mut sections = Vec::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let key_end = rest.find('"')?;
-        let key = rest[..key_end].to_string();
-        if key.contains('\\') {
-            return None; // escaped keys are out of scope for bench files
+    let mut split = || -> Result<(), JsonError> {
+        json.expect(b'{')?;
+        let mut more = !json.eat(b'}')?;
+        while more {
+            let key = json.string()?.to_string();
+            json.expect(b':')?;
+            json.peek()?;
+            let start = json.offset();
+            json.skip_value()?;
+            sections.push((key, text[start..json.offset()].to_string()));
+            more = json.more(b'}', "bench summary")?;
         }
-        rest = rest[key_end + 1..].trim_start().strip_prefix(':')?;
-        // Scan one balanced JSON value.
-        let mut depth = 0usize;
-        let mut in_string = false;
-        let mut escaped = false;
-        let mut end = None;
-        for (i, c) in rest.char_indices() {
-            if escaped {
-                escaped = false;
-                continue;
-            }
-            match c {
-                '\\' if in_string => escaped = true,
-                '"' => in_string = !in_string,
-                '{' | '[' if !in_string => depth += 1,
-                '}' | ']' if !in_string => depth = depth.checked_sub(1)?,
-                ',' if !in_string && depth == 0 => {
-                    end = Some(i);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let (value, tail) = match end {
-            Some(i) => (&rest[..i], &rest[i + 1..]),
-            None => (rest, ""),
-        };
-        if value.trim().is_empty() {
-            return None;
-        }
-        sections.push((key, value.trim().to_string()));
-        rest = tail.trim_start();
-    }
+        json.end()
+    };
+    split().ok()?;
     Some(sections)
 }
 

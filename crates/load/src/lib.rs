@@ -20,8 +20,10 @@
 //! * [`MergedSource`] — several per-application streams interleaved
 //!   deterministically by `(time, stream index)` for heterogeneous fleets.
 //! * [`StreamingTraceReader`] / [`StreamingTraceWriter`] — file-backed
-//!   streaming replay and capture of the batch trace JSON schema, so huge
-//!   traces never materialize.
+//!   streaming replay and capture of trace files, so huge traces never
+//!   materialize. Both sit on the one trace codec in
+//!   `rubik_workloads::trace_io`; this crate adds only the source adapter,
+//!   the arrival-order check and the held error.
 //! * [`TraceSource`] — adapts any in-memory [`rubik_sim::Trace`] into a
 //!   source (the bridge the batch `Cluster::run` path is built on).
 //!

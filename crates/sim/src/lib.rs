@@ -23,7 +23,9 @@
 //! * [`Server`] — the closed-loop wrapper that replays a complete trace,
 //! * [`RunResult`] — per-request records plus the frequency/activity
 //!   timeline, from which tail latency and (via `rubik-power`) energy are
-//!   derived.
+//!   derived,
+//! * [`json`] — the one pull-based JSON reader that trace files, streamed
+//!   traces, telemetry logs and bench summaries are parsed with.
 //!
 //! # Example
 //!
@@ -48,6 +50,7 @@
 
 pub mod config;
 pub mod freq;
+pub mod json;
 pub mod policy;
 pub mod request;
 pub mod result;

@@ -1,15 +1,15 @@
-//! Self-serialized JSON for [`TraceLog`] — writer and minimal parser.
+//! Self-serialized JSON for [`TraceLog`]: writer and typed parser.
 //!
 //! The build environment is offline, so (like the vendored `criterion`)
 //! serialization is hand-rolled: [`to_json`] emits a stable `rubik-trace-v1`
-//! document and [`from_json`] reads it back with a small recursive-descent
-//! parser. Floats are written with Rust's shortest-roundtrip `{:?}`
-//! formatting, so a write → read cycle is lossless.
-//!
-//! Request ids are carried as JSON numbers and parsed through `f64`, which
-//! is exact for ids below 2^53 — far beyond any trace this crate produces.
+//! document and [`from_json`] reads it back through the workspace's one JSON
+//! reader, [`rubik_sim::json::Reader`]. Floats are written with Rust's
+//! shortest-roundtrip `{:?}` formatting and integers are parsed exactly, so
+//! a write → read cycle is lossless (request ids above 2^53 included).
 
-use std::fmt::Write;
+use std::fmt::{self, Write};
+
+use rubik_sim::json::{JsonError, Reader};
 
 use crate::event::{RequestEvent, RequestEventKind, ServerEvent, ServerEventKind};
 use crate::fleet::{EpochSample, ServerSample};
@@ -19,563 +19,314 @@ use crate::log::{RequestTrace, TraceLog};
 pub const FORMAT: &str = "rubik-trace-v1";
 
 // ---------------------------------------------------------------------------
-// Writer. Each field goes through `write!` straight into the output
-// `String`. Writing to a `String` cannot fail, so the `fmt::Result` is
-// dropped.
+// Writer: straight into the output `String`, floats in their shortest
+// round-trip `{:?}` form. Fixed text goes through `push_str` rather than
+// into `write!` format strings: the formatter's per-piece dispatch made the
+// export measurably slower on large logs.
 // ---------------------------------------------------------------------------
 
-fn push_f64(out: &mut String, v: f64) {
-    debug_assert!(v.is_finite(), "trace times and powers are finite");
-    let _ = write!(out, "{v:?}");
-}
-
-fn push_request_event(out: &mut String, event: &RequestEvent) {
-    out.push_str("{\"at\":");
-    push_f64(out, event.at);
-    match event.kind {
-        RequestEventKind::Routed { server, attempt } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"routed\",\"server\":{server},\"attempt\":{attempt}"
-            );
-        }
-        RequestEventKind::TimedOut { server, attempt } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"timed_out\",\"server\":{server},\"attempt\":{attempt}"
-            );
-        }
-        RequestEventKind::Backoff { until } => {
-            out.push_str(",\"kind\":\"backoff\",\"until\":");
-            push_f64(out, until);
-        }
-        RequestEventKind::Salvaged { server } => {
-            let _ = write!(out, ",\"kind\":\"salvaged\",\"server\":{server}");
-        }
-        RequestEventKind::Requeued { from, to } => {
-            let _ = write!(out, ",\"kind\":\"requeued\",\"from\":{from},\"to\":{to}");
-        }
-        RequestEventKind::Migrated { from, to } => {
-            let _ = write!(out, ",\"kind\":\"migrated\",\"from\":{from},\"to\":{to}");
-        }
-        RequestEventKind::Dropped { server } => {
-            let _ = write!(out, ",\"kind\":\"dropped\",\"server\":{server}");
-        }
-        RequestEventKind::Hedged { server, attempt } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"hedged\",\"server\":{server},\"attempt\":{attempt}"
-            );
-        }
-        RequestEventKind::HedgeWon { server } => {
-            let _ = write!(out, ",\"kind\":\"hedge_won\",\"server\":{server}");
-        }
-        RequestEventKind::HedgeCancelled { server } => {
-            let _ = write!(out, ",\"kind\":\"hedge_cancelled\",\"server\":{server}");
-        }
-    }
-    out.push('}');
-}
-
-fn push_server_event(out: &mut String, event: &ServerEvent) {
-    out.push_str("{\"at\":");
-    push_f64(out, event.at);
-    let _ = write!(out, ",\"server\":{}", event.server);
-    match event.kind {
-        ServerEventKind::Down => out.push_str(",\"kind\":\"down\""),
-        ServerEventKind::Up => out.push_str(",\"kind\":\"up\""),
-        ServerEventKind::StraggleStart { slowdown } => {
-            out.push_str(",\"kind\":\"straggle_start\",\"slowdown\":");
-            push_f64(out, slowdown);
-        }
-        ServerEventKind::StraggleEnd => out.push_str(",\"kind\":\"straggle_end\""),
-        ServerEventKind::FreqStuck { mhz } => {
-            out.push_str(",\"kind\":\"freq_stuck\",\"mhz\":");
-            match mhz {
-                Some(mhz) => {
-                    let _ = write!(out, "{mhz}");
-                }
-                None => out.push_str("null"),
-            }
-        }
-    }
-    out.push('}');
-}
-
-fn push_opt_f64(out: &mut String, v: Option<f64>) {
+/// Writes `Some(v)` as `v` (in `{:?}` form) and `None` as `null`.
+fn write_opt<T: fmt::Debug>(out: &mut String, v: Option<T>) -> fmt::Result {
     match v {
-        Some(v) => push_f64(out, v),
-        None => out.push_str("null"),
+        Some(v) => write!(out, "{v:?}"),
+        None => out.write_str("null"),
     }
 }
 
-fn push_request(out: &mut String, request: &RequestTrace) {
-    let _ = write!(out, "{{\"id\":{},\"arrival\":", request.id);
-    push_f64(out, request.arrival);
-    out.push_str(",\"start\":");
-    push_opt_f64(out, request.start);
-    out.push_str(",\"completion\":");
-    push_opt_f64(out, request.completion);
-    out.push_str(",\"server\":");
-    match request.server {
-        Some(server) => {
-            let _ = write!(out, "{server}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"events\":[");
-    for (i, event) in request.events.iter().enumerate() {
+/// Writes `items` comma-separated, each on a new line if `lines`.
+fn write_list<T>(
+    out: &mut String,
+    lines: bool,
+    items: &[T],
+    write: impl Fn(&mut String, &T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_request_event(out, event);
+        if lines {
+            out.push('\n');
+        }
+        write(out, item)?;
     }
-    out.push_str("]}");
+    Ok(())
 }
 
-fn push_epoch(out: &mut String, epoch: &EpochSample) {
-    out.push_str("{\"start\":");
-    push_f64(out, epoch.start);
-    out.push_str(",\"end\":");
-    push_f64(out, epoch.end);
-    out.push_str(",\"power\":");
-    push_f64(out, epoch.power);
-    let _ = write!(
+fn write_request_event(out: &mut String, event: &RequestEvent) -> fmt::Result {
+    use RequestEventKind::*;
+    out.push_str("{\"at\":");
+    write!(out, "{:?}", event.at)?;
+    out.push_str(",\"kind\":");
+    match event.kind {
+        Routed { server, attempt } => {
+            write!(out, r#""routed","server":{server},"attempt":{attempt}"#)
+        }
+        TimedOut { server, attempt } => {
+            write!(out, r#""timed_out","server":{server},"attempt":{attempt}"#)
+        }
+        Backoff { until } => write!(out, r#""backoff","until":{until:?}"#),
+        Salvaged { server } => write!(out, r#""salvaged","server":{server}"#),
+        Requeued { from, to } => write!(out, r#""requeued","from":{from},"to":{to}"#),
+        Migrated { from, to } => write!(out, r#""migrated","from":{from},"to":{to}"#),
+        Dropped { server } => write!(out, r#""dropped","server":{server}"#),
+        Hedged { server, attempt } => {
+            write!(out, r#""hedged","server":{server},"attempt":{attempt}"#)
+        }
+        HedgeWon { server } => write!(out, r#""hedge_won","server":{server}"#),
+        HedgeCancelled { server } => write!(out, r#""hedge_cancelled","server":{server}"#),
+    }?;
+    out.write_str("}")
+}
+
+fn write_server_event(out: &mut String, event: &ServerEvent) -> fmt::Result {
+    use ServerEventKind::*;
+    write!(
         out,
-        ",\"queued\":{},\"in_flight\":{},\"completions\":{},\"retries\":{},\"timeouts\":{}",
-        epoch.queued, epoch.in_flight, epoch.completions, epoch.retries, epoch.timeouts
-    );
-    out.push_str(",\"per_server\":[");
-    for (i, server) in epoch.per_server.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        "{{\"at\":{:?},\"server\":{},\"kind\":",
+        event.at, event.server
+    )?;
+    match event.kind {
+        Down => out.write_str(r#""down"}"#),
+        Up => out.write_str(r#""up"}"#),
+        StraggleStart { slowdown } => {
+            write!(out, r#""straggle_start","slowdown":{slowdown:?}}}"#)
         }
-        let _ = write!(
-            out,
-            "{{\"queued\":{},\"in_flight\":{},\"freq_mhz\":{},\"power\":",
-            server.queued, server.in_flight, server.freq_mhz
-        );
-        push_f64(out, server.power);
-        let _ = write!(out, ",\"down\":{}}}", server.down);
+        StraggleEnd => out.write_str(r#""straggle_end"}"#),
+        FreqStuck { mhz } => {
+            out.push_str(r#""freq_stuck","mhz":"#);
+            write_opt(out, mhz)?;
+            out.write_str("}")
+        }
     }
-    out.push_str("]}");
+}
+
+fn write_request(out: &mut String, r: &RequestTrace) -> fmt::Result {
+    write!(out, "{{\"id\":{},\"arrival\":{:?}", r.id, r.arrival)?;
+    out.push_str(",\"start\":");
+    write_opt(out, r.start)?;
+    out.push_str(",\"completion\":");
+    write_opt(out, r.completion)?;
+    out.push_str(",\"server\":");
+    write_opt(out, r.server)?;
+    out.push_str(",\"events\":[");
+    write_list(out, false, &r.events, write_request_event)?;
+    out.write_str("]}")
+}
+
+fn write_epoch(out: &mut String, e: &EpochSample) -> fmt::Result {
+    write!(
+        out,
+        r#"{{"start":{:?},"end":{:?},"power":{:?},"queued":{},"in_flight":{},"completions":{},"retries":{},"timeouts":{},"per_server":["#,
+        e.start, e.end, e.power, e.queued, e.in_flight, e.completions, e.retries, e.timeouts
+    )?;
+    write_list(out, false, &e.per_server, |out, s| {
+        write!(
+            out,
+            r#"{{"queued":{},"in_flight":{},"freq_mhz":{},"power":{:?},"down":{}}}"#,
+            s.queued, s.in_flight, s.freq_mhz, s.power, s.down
+        )
+    })?;
+    out.write_str("]}")
+}
+
+fn write_log(out: &mut String, log: &TraceLog) -> fmt::Result {
+    write!(
+        out,
+        "{{\"format\":\"{FORMAT}\",\"servers\":{},\"end\":{:?},\n\"requests\":[",
+        log.servers, log.end
+    )?;
+    write_list(out, true, &log.requests, write_request)?;
+    out.write_str("],\n\"server_events\":[")?;
+    write_list(out, true, &log.server_events, write_server_event)?;
+    out.write_str("],\n\"epochs\":[")?;
+    write_list(out, true, &log.epochs, write_epoch)?;
+    out.write_str("]}\n")
 }
 
 /// Serialize a [`TraceLog`] as a `rubik-trace-v1` JSON document.
 pub fn to_json(log: &TraceLog) -> String {
     let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"format\":\"{FORMAT}\",\"servers\":{},\"end\":",
-        log.servers
-    );
-    push_f64(&mut out, log.end);
-    out.push_str(",\n\"requests\":[");
-    for (i, request) in log.requests.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        push_request(&mut out, request);
-    }
-    out.push_str("],\n\"server_events\":[");
-    for (i, event) in log.server_events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        push_server_event(&mut out, event);
-    }
-    out.push_str("],\n\"epochs\":[");
-    for (i, epoch) in log.epochs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        push_epoch(&mut out, epoch);
-    }
-    out.push_str("]}\n");
+    write_log(&mut out, log).expect("writing to a String cannot fail");
     out
 }
 
 // ---------------------------------------------------------------------------
-// Parser
+// Parser: typed, on the shared pull reader, with the trace codec's
+// strictness.
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value (just enough for trace documents).
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
+type Json<'a> = Reader<&'a [u8]>;
 
-impl Value {
-    fn get<'a>(&'a self, key: &str) -> Result<&'a Value, String> {
-        match self {
-            Value::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{key}`")),
-            _ => Err(format!("expected object with field `{key}`")),
+const LOG_FIELDS: [&str; 6] = [
+    "format",
+    "servers",
+    "end",
+    "requests",
+    "server_events",
+    "epochs",
+];
+const REQUEST_FIELDS: [&str; 6] = ["id", "arrival", "start", "completion", "server", "events"];
+const EVENT_FIELDS: [&str; 7] = ["at", "kind", "server", "attempt", "until", "from", "to"];
+const SERVER_EVENT_FIELDS: [&str; 5] = ["at", "server", "kind", "slowdown", "mhz"];
+const EPOCH_FIELDS: [&str; 9] = [
+    "start",
+    "end",
+    "power",
+    "queued",
+    "in_flight",
+    "completions",
+    "retries",
+    "timeouts",
+    "per_server",
+];
+const SAMPLE_FIELDS: [&str; 5] = ["queued", "in_flight", "freq_mhz", "power", "down"];
+
+fn request_event(json: &mut Json) -> Result<RequestEvent, JsonError> {
+    let (mut at, mut kind, mut until, mut ids) = (0.0, String::new(), 0.0, [0u32; 7]);
+    let seen = json.object("event", &EVENT_FIELDS, |json, i| {
+        match i {
+            0 => at = json.f64()?,
+            1 => kind = json.string()?.to_string(),
+            4 => until = json.f64()?,
+            _ => ids[i] = json.uint()?,
         }
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Value::Num(v) => Ok(*v),
-            _ => Err("expected number".into()),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        let v = self.as_f64()?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(format!("expected non-negative integer, got {v}"));
-        }
-        Ok(v as u64)
-    }
-
-    fn as_u32(&self) -> Result<u32, String> {
-        u32::try_from(self.as_u64()?).map_err(|_| "integer out of u32 range".into())
-    }
-
-    fn as_opt_f64(&self) -> Result<Option<f64>, String> {
-        match self {
-            Value::Null => Ok(None),
-            other => other.as_f64().map(Some),
-        }
-    }
-
-    fn as_bool(&self) -> Result<bool, String> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            _ => Err("expected bool".into()),
-        }
-    }
-
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            _ => Err("expected string".into()),
-        }
-    }
-
-    fn as_arr(&self) -> Result<&[Value], String> {
-        match self {
-            Value::Arr(items) => Ok(items),
-            _ => Err("expected array".into()),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn expect_literal(&mut self, literal: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
-            self.pos += literal.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
-            b'"' => Ok(Value::Str(self.parse_string()?)),
-            b't' => self.expect_literal("true", Value::Bool(true)),
-            b'f' => self.expect_literal("false", Value::Bool(false)),
-            b'n' => self.expect_literal("null", Value::Null),
-            _ => self.parse_number(),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self
-                .bytes
-                .get(self.pos)
-                .copied()
-                .ok_or("unterminated string")?
-            {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let escape = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        other => return Err(format!("unsupported escape `\\{}`", other as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through byte-by-byte;
-                    // re-validate at the end via from_utf8 on the slice.
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b != b'"' && b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-    }
-}
-
-fn parse_request_event(value: &Value) -> Result<RequestEvent, String> {
-    let at = value.get("at")?.as_f64()?;
-    let kind = match value.get("kind")?.as_str()? {
-        "routed" => RequestEventKind::Routed {
-            server: value.get("server")?.as_u32()?,
-            attempt: value.get("attempt")?.as_u32()?,
-        },
-        "timed_out" => RequestEventKind::TimedOut {
-            server: value.get("server")?.as_u32()?,
-            attempt: value.get("attempt")?.as_u32()?,
-        },
-        "backoff" => RequestEventKind::Backoff {
-            until: value.get("until")?.as_f64()?,
-        },
-        "salvaged" => RequestEventKind::Salvaged {
-            server: value.get("server")?.as_u32()?,
-        },
-        "requeued" => RequestEventKind::Requeued {
-            from: value.get("from")?.as_u32()?,
-            to: value.get("to")?.as_u32()?,
-        },
-        "migrated" => RequestEventKind::Migrated {
-            from: value.get("from")?.as_u32()?,
-            to: value.get("to")?.as_u32()?,
-        },
-        "dropped" => RequestEventKind::Dropped {
-            server: value.get("server")?.as_u32()?,
-        },
-        "hedged" => RequestEventKind::Hedged {
-            server: value.get("server")?.as_u32()?,
-            attempt: value.get("attempt")?.as_u32()?,
-        },
-        "hedge_won" => RequestEventKind::HedgeWon {
-            server: value.get("server")?.as_u32()?,
-        },
-        "hedge_cancelled" => RequestEventKind::HedgeCancelled {
-            server: value.get("server")?.as_u32()?,
-        },
-        other => return Err(format!("unknown request event kind `{other}`")),
+        Ok(())
+    })?;
+    let [_, _, server, attempt, _, from, to] = ids;
+    const ONE: &[&str] = &["at", "kind", "server"];
+    const TWO: &[&str] = &["at", "kind", "server", "attempt"];
+    const MOVE: &[&str] = &["at", "kind", "from", "to"];
+    use RequestEventKind::*;
+    let (kind, wanted) = match kind.as_str() {
+        "routed" => (Routed { server, attempt }, TWO),
+        "timed_out" => (TimedOut { server, attempt }, TWO),
+        "backoff" => (Backoff { until }, &["at", "kind", "until"][..]),
+        "salvaged" => (Salvaged { server }, ONE),
+        "requeued" => (Requeued { from, to }, MOVE),
+        "migrated" => (Migrated { from, to }, MOVE),
+        "dropped" => (Dropped { server }, ONE),
+        "hedged" => (Hedged { server, attempt }, TWO),
+        "hedge_won" => (HedgeWon { server }, ONE),
+        "hedge_cancelled" => (HedgeCancelled { server }, ONE),
+        other => return Err(json.error(format!("unknown request event kind `{other}`"))),
     };
+    json.check_fields("event", &EVENT_FIELDS, seen, wanted)?;
     Ok(RequestEvent { at, kind })
 }
 
-fn parse_server_event(value: &Value) -> Result<ServerEvent, String> {
-    let at = value.get("at")?.as_f64()?;
-    let server = value.get("server")?.as_u32()?;
-    let kind = match value.get("kind")?.as_str()? {
-        "down" => ServerEventKind::Down,
-        "up" => ServerEventKind::Up,
-        "straggle_start" => ServerEventKind::StraggleStart {
-            slowdown: value.get("slowdown")?.as_f64()?,
-        },
-        "straggle_end" => ServerEventKind::StraggleEnd,
-        "freq_stuck" => ServerEventKind::FreqStuck {
-            mhz: match value.get("mhz")? {
-                Value::Null => None,
-                other => Some(other.as_u32()?),
-            },
-        },
-        other => return Err(format!("unknown server event kind `{other}`")),
+fn server_event(json: &mut Json) -> Result<ServerEvent, JsonError> {
+    let (mut at, mut server, mut kind) = (0.0, 0, String::new());
+    let (mut slowdown, mut mhz) = (0.0, None);
+    let seen = json.object("server event", &SERVER_EVENT_FIELDS, |json, i| {
+        match i {
+            0 => at = json.f64()?,
+            1 => server = json.uint()?,
+            2 => kind = json.string()?.to_string(),
+            3 => slowdown = json.f64()?,
+            _ => mhz = json.opt(Reader::uint)?,
+        }
+        Ok(())
+    })?;
+    const BARE: &[&str] = &["at", "server", "kind"];
+    use ServerEventKind::*;
+    let (kind, wanted) = match kind.as_str() {
+        "down" => (Down, BARE),
+        "up" => (Up, BARE),
+        "straggle_start" => (
+            StraggleStart { slowdown },
+            &["at", "server", "kind", "slowdown"][..],
+        ),
+        "straggle_end" => (StraggleEnd, BARE),
+        "freq_stuck" => (FreqStuck { mhz }, &["at", "server", "kind", "mhz"][..]),
+        other => return Err(json.error(format!("unknown server event kind `{other}`"))),
     };
+    json.check_fields("server event", &SERVER_EVENT_FIELDS, seen, wanted)?;
     Ok(ServerEvent { at, server, kind })
 }
 
-fn parse_epoch(value: &Value) -> Result<EpochSample, String> {
-    let mut per_server = Vec::new();
-    for server in value.get("per_server")?.as_arr()? {
-        per_server.push(ServerSample {
-            queued: server.get("queued")?.as_u32()?,
-            in_flight: server.get("in_flight")?.as_u32()?,
-            freq_mhz: server.get("freq_mhz")?.as_u32()?,
-            power: server.get("power")?.as_f64()?,
-            down: server.get("down")?.as_bool()?,
-        });
-    }
-    Ok(EpochSample {
-        start: value.get("start")?.as_f64()?,
-        end: value.get("end")?.as_f64()?,
-        power: value.get("power")?.as_f64()?,
-        queued: value.get("queued")?.as_u32()?,
-        in_flight: value.get("in_flight")?.as_u32()?,
-        completions: value.get("completions")?.as_u32()?,
-        retries: value.get("retries")?.as_u64()?,
-        timeouts: value.get("timeouts")?.as_u64()?,
-        per_server,
-    })
+fn request(json: &mut Json) -> Result<RequestTrace, JsonError> {
+    let mut r = RequestTrace::default();
+    let seen = json.object("request", &REQUEST_FIELDS, |json, i| {
+        match i {
+            0 => r.id = json.uint()?,
+            1 => r.arrival = json.f64()?,
+            2 => r.start = json.opt(Reader::f64)?,
+            3 => r.completion = json.opt(Reader::f64)?,
+            4 => r.server = json.opt(Reader::uint)?,
+            _ => r.events = json.list("event", request_event)?,
+        }
+        Ok(())
+    })?;
+    json.check_fields("request", &REQUEST_FIELDS, seen, &REQUEST_FIELDS)?;
+    Ok(r)
+}
+
+fn server_sample(json: &mut Json) -> Result<ServerSample, JsonError> {
+    let mut s = ServerSample::default();
+    let seen = json.object("per-server sample", &SAMPLE_FIELDS, |json, i| {
+        match i {
+            0 => s.queued = json.uint()?,
+            1 => s.in_flight = json.uint()?,
+            2 => s.freq_mhz = json.uint()?,
+            3 => s.power = json.f64()?,
+            _ => s.down = json.bool()?,
+        }
+        Ok(())
+    })?;
+    json.check_fields("per-server sample", &SAMPLE_FIELDS, seen, &SAMPLE_FIELDS)?;
+    Ok(s)
+}
+
+fn epoch(json: &mut Json) -> Result<EpochSample, JsonError> {
+    let mut e = EpochSample::default();
+    let seen = json.object("epoch", &EPOCH_FIELDS, |json, i| {
+        match i {
+            0 => e.start = json.f64()?,
+            1 => e.end = json.f64()?,
+            2 => e.power = json.f64()?,
+            3 => e.queued = json.uint()?,
+            4 => e.in_flight = json.uint()?,
+            5 => e.completions = json.uint()?,
+            6 => e.retries = json.uint()?,
+            7 => e.timeouts = json.uint()?,
+            _ => e.per_server = json.list("per-server sample", server_sample)?,
+        }
+        Ok(())
+    })?;
+    json.check_fields("epoch", &EPOCH_FIELDS, seen, &EPOCH_FIELDS)?;
+    Ok(e)
 }
 
 /// Parse a `rubik-trace-v1` JSON document back into a [`TraceLog`].
-pub fn from_json(text: &str) -> Result<TraceLog, String> {
-    let mut parser = Parser::new(text);
-    let root = parser.parse_value()?;
-    let format = root.get("format")?.as_str()?;
-    if format != FORMAT {
-        return Err(format!("unsupported trace format `{format}`"));
-    }
-    let mut requests = Vec::new();
-    for request in root.get("requests")?.as_arr()? {
-        let mut events = Vec::new();
-        for event in request.get("events")?.as_arr()? {
-            events.push(parse_request_event(event)?);
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] if the text is not such a document: unknown,
+/// duplicate and missing fields, non-finite numbers, fractional or
+/// negative integers and trailing data are all rejected.
+pub fn from_json(text: &str) -> Result<TraceLog, JsonError> {
+    let json = &mut Reader::new(text.as_bytes());
+    let mut log = TraceLog::default();
+    let seen = json.object("log", &LOG_FIELDS, |json, i| {
+        match i {
+            0 => {
+                let format = json.string()?;
+                if format != FORMAT {
+                    let message = format!("unsupported trace format `{format}`");
+                    return Err(json.error(message));
+                }
+            }
+            1 => log.servers = json.uint()?,
+            2 => log.end = json.f64()?,
+            3 => log.requests = json.list("request", request)?,
+            4 => log.server_events = json.list("server event", server_event)?,
+            _ => log.epochs = json.list("epoch", epoch)?,
         }
-        requests.push(RequestTrace {
-            id: request.get("id")?.as_u64()?,
-            arrival: request.get("arrival")?.as_f64()?,
-            start: request.get("start")?.as_opt_f64()?,
-            completion: request.get("completion")?.as_opt_f64()?,
-            server: match request.get("server")? {
-                Value::Null => None,
-                other => Some(other.as_u32()?),
-            },
-            events,
-        });
-    }
-    let mut server_events = Vec::new();
-    for event in root.get("server_events")?.as_arr()? {
-        server_events.push(parse_server_event(event)?);
-    }
-    let mut epochs = Vec::new();
-    for epoch in root.get("epochs")?.as_arr()? {
-        epochs.push(parse_epoch(epoch)?);
-    }
-    Ok(TraceLog {
-        servers: root.get("servers")?.as_u64()? as usize,
-        end: root.get("end")?.as_f64()?,
-        requests,
-        server_events,
-        epochs,
-    })
+        Ok(())
+    })?;
+    json.check_fields("log", &LOG_FIELDS, seen, &LOG_FIELDS)?;
+    json.end()?;
+    Ok(log)
 }
 
 #[cfg(test)]
@@ -742,7 +493,7 @@ mod tests {
     #[test]
     fn rejects_foreign_formats() {
         let err = from_json("{\"format\":\"other\"}").unwrap_err();
-        assert!(err.contains("unsupported trace format"));
+        assert!(err.to_string().contains("unsupported trace format"));
     }
 
     #[test]
@@ -751,13 +502,74 @@ mod tests {
         assert!(from_json("{\"format\":").is_err());
         assert!(from_json("[1, 2").is_err());
         assert!(from_json("{\"a\" 1}").is_err());
+        let valid = to_json(&sample_log());
+        let epoch = valid.find("{\"start\"").unwrap();
+        for (text, needle) in [
+            (format!("{valid} extra"), "trailing data"),
+            (
+                valid.replacen("{\"at\":0.0,", "{\"at\":0.0,\"at\":0.0,", 1),
+                "duplicate event field \"at\"",
+            ),
+            (
+                valid.replacen("\"servers\":2", "\"servers\":2,\"servers\":2", 1),
+                "duplicate log field \"servers\"",
+            ),
+            (
+                format!("{}\"bogus\":1,{}", &valid[..epoch + 1], &valid[epoch + 1..]),
+                "unknown epoch field \"bogus\"",
+            ),
+            (
+                valid.replacen("\"kind\":\"down\"", "\"kind\":\"down\",\"mhz\":null", 1),
+                "unknown server event field \"mhz\"",
+            ),
+            (
+                valid.replacen("\"until\":0.1", "\"until\":1e999", 1),
+                "expected a finite number",
+            ),
+            (
+                valid.replacen("\"power\":12.5", "\"power\":-1e999", 1),
+                "expected a finite number",
+            ),
+            (
+                valid.replacen(",\"attempt\":1", "", 1),
+                "missing event field \"attempt\"",
+            ),
+            (
+                valid.replacen("\"id\":3", "\"id\":3.0", 1),
+                "expected a non-negative integer",
+            ),
+        ] {
+            assert_ne!(text, valid, "{needle}: the edit must apply");
+            let err = from_json(&text).expect_err(needle).to_string();
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
     }
 
     #[test]
     fn parser_handles_escapes_and_exponents() {
-        let mut parser = Parser::new(r#"{"s":"a\"b\\c","n":-1.5e-3}"#);
-        let value = parser.parse_value().unwrap();
-        assert_eq!(value.get("s").unwrap().as_str().unwrap(), "a\"b\\c");
-        assert_eq!(value.get("n").unwrap().as_f64().unwrap(), -1.5e-3);
+        let mut json = Reader::new(r#"{"s":"a\"b\\c","n":-1.5e-3}"#.as_bytes());
+        let (mut s, mut n) = (String::new(), 0.0);
+        let seen = json
+            .object("test", &["s", "n"], |json, i| {
+                match i {
+                    0 => s = json.string()?.to_string(),
+                    _ => n = json.f64()?,
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(seen, 0b11);
+        assert_eq!(s, "a\"b\\c");
+        assert_eq!(n, -1.5e-3);
+    }
+
+    #[test]
+    fn large_ids_roundtrip_exactly() {
+        // Ids above 2^53 would corrupt under an f64 round-trip.
+        let mut log = sample_log();
+        log.requests[1].id = (1 << 60) + 12345;
+        let parsed = from_json(&to_json(&log)).unwrap();
+        assert_eq!(parsed.requests[1].id, (1 << 60) + 12345);
+        assert_eq!(parsed, log);
     }
 }

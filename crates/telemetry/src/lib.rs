@@ -24,7 +24,10 @@
 //! Logs serialize to a self-describing JSON document ([`to_json`] /
 //! [`from_json`]) and to Chrome `trace_event` format ([`to_chrome_json`])
 //! viewable in `chrome://tracing` or Perfetto — both hand-rolled because the
-//! build environment is offline.
+//! build environment is offline. [`from_json`] is a typed pull parser on the
+//! workspace's one JSON reader, `rubik_sim::json`, with the trace codec's
+//! strictness: unknown, duplicate and missing fields, non-finite numbers
+//! and trailing data are typed [`rubik_sim::json::JsonError`]s.
 //!
 //! # Zero cost when disabled
 //!

@@ -11,7 +11,7 @@ use crate::sink::Recorder;
 use rubik_sim::RunResult;
 
 /// The full lifecycle of one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RequestTrace {
     /// Request identifier.
     pub id: u64,

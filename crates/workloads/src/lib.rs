@@ -19,7 +19,8 @@
 //! * [`BatchApp`] / [`BatchMix`] — SPEC CPU2006-like batch application models
 //!   used by RubikColoc,
 //! * [`trace_io`] — JSON capture/replay of traces (the paper's trace-driven
-//!   methodology, Sec. 5.3).
+//!   methodology, Sec. 5.3): the one trace codec, a record writer and a
+//!   record reader that batch and streamed replay share.
 //!
 //! # Example
 //!

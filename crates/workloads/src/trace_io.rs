@@ -3,38 +3,31 @@
 //! The paper's trace-driven characterization (Sec. 5.3) captures per-request
 //! arrival times, core cycles, and memory-bound times, and replays the same
 //! trace under different schemes so that every scheme sees an identical
-//! request stream. These helpers persist [`Trace`]s as JSON so experiments
-//! can be captured once and replayed by multiple harness binaries.
+//! request stream. This module is the one codec for those trace files:
+//! [`TraceWriter`] writes requests one at a time into any [`Write`], and
+//! [`TraceReader`] reads them one at a time from any [`Read`] through the
+//! shared [`rubik_sim::json::Reader`]. The batch helpers ([`to_json`],
+//! [`from_json`], [`save`], [`load`]) are built on the pair, and `rubik-load`
+//! adds streamed replay on top of the same reader.
 //!
-//! The JSON codec is hand-rolled (the offline build has no serde_json) but
-//! uses serde_json's layout for the same types, so files remain compatible
-//! if the real dependency is restored:
+//! The layout is serde_json's for the same types, so files remain
+//! compatible if the real dependency is restored:
 //!
 //! ```json
 //! {"requests":[{"id":0,"arrival":0.0,"compute_cycles":1.0e6,
 //!               "membound_time":1.0e-5,"class":0}, ...]}
 //! ```
+//!
+//! Reading is strict: unknown, duplicate or missing fields, fractional or
+//! negative integers, non-finite numbers and trailing data are rejected.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
+pub use rubik_sim::json::JsonError;
+use rubik_sim::json::Reader;
 use rubik_sim::{RequestSpec, Trace};
-
-/// A JSON syntax or schema error, with the byte offset where it occurred.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    message: String,
-    offset: usize,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for JsonError {}
 
 /// Errors returned by trace I/O.
 #[derive(Debug)]
@@ -69,30 +62,207 @@ impl From<std::io::Error> for TraceIoError {
     }
 }
 
-impl From<JsonError> for TraceIoError {
-    fn from(e: JsonError) -> Self {
-        TraceIoError::Parse(e)
+/// Writes a trace one request at a time with O(1) resident memory.
+///
+/// Call [`TraceWriter::finish`] to close the JSON structure; a writer
+/// dropped without it leaves a truncated file the reader rejects, never a
+/// silently short trace.
+#[derive(Debug)]
+pub struct TraceWriter<W: Write> {
+    out: W,
+    written: usize,
+}
+
+impl TraceWriter<BufWriter<File>> {
+    /// Creates (truncating) a trace file at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceIoError::Io`] if the file cannot be created.
+    pub fn create<P: AsRef<Path>>(path: P) -> Result<Self, TraceIoError> {
+        Ok(Self::new(BufWriter::new(File::create(path)?))?)
     }
+}
+
+impl<W: Write> TraceWriter<W> {
+    /// Starts a trace on any writer (the JSON header is written at once).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error if the header cannot be written.
+    pub fn new(mut out: W) -> std::io::Result<Self> {
+        out.write_all(b"{\"requests\":[")?;
+        Ok(Self { out, written: 0 })
+    }
+
+    /// Appends one request.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error if the record cannot be written.
+    pub fn write(&mut self, r: &RequestSpec) -> std::io::Result<()> {
+        if self.written > 0 {
+            self.out.write_all(b",")?;
+        }
+        // `{:e}` prints the shortest-roundtrip mantissa, so values survive a
+        // write/read cycle bit-exactly.
+        write!(
+            self.out,
+            "{{\"id\":{},\"arrival\":{:e},\"compute_cycles\":{:e},\
+             \"membound_time\":{:e},\"class\":{}}}",
+            r.id, r.arrival, r.compute_cycles, r.membound_time, r.class
+        )?;
+        self.written += 1;
+        Ok(())
+    }
+
+    /// Closes the JSON structure and flushes, returning the inner writer.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error if the trailer cannot be written.
+    pub fn finish(mut self) -> std::io::Result<W> {
+        self.out.write_all(b"]}")?;
+        self.out.flush()?;
+        Ok(self.out)
+    }
+}
+
+/// Reads a trace one request per pull with O(1) resident memory.
+///
+/// An [`Iterator`] over the requests in file order. The first error ends
+/// the iteration; [`TraceReader::finish`] then tells a complete trace from
+/// a truncated one.
+#[derive(Debug)]
+pub struct TraceReader<R> {
+    json: Reader<R>,
+    state: State,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Before the first request; `]` or a request may follow.
+    First,
+    /// Between requests; `,` or `]` may follow.
+    Next,
+    /// The closing `]}` has been read.
+    Done,
+    /// A previous pull failed.
+    Failed,
+}
+
+/// The fields of a request object, in the order the writer emits them.
+const FIELDS: [&str; 5] = ["id", "arrival", "compute_cycles", "membound_time", "class"];
+
+impl<R: Read> TraceReader<R> {
+    /// Starts reading from any reader; the `{"requests":[` header is parsed
+    /// at once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceIoError::Io`] on a read failure and
+    /// [`TraceIoError::Parse`] if the header is malformed.
+    pub fn new(input: R) -> Result<Self, TraceIoError> {
+        let mut reader = Self {
+            json: Reader::new(input),
+            state: State::First,
+        };
+        let json = &mut reader.json;
+        let header = json.expect(b'{').and_then(|()| {
+            if json.string()? != "requests" {
+                return Err(json.error("expected a \"requests\" field"));
+            }
+            json.expect(b':')?;
+            json.expect(b'[')
+        });
+        header.map_err(|e| reader.fail(e))?;
+        Ok(reader)
+    }
+
+    /// A parse error at the current offset.
+    pub fn error(&self, message: &str) -> TraceIoError {
+        TraceIoError::Parse(self.json.error(message))
+    }
+
+    /// Checks that the whole trace was read.
+    ///
+    /// # Errors
+    ///
+    /// Returns a parse error if the input ended, or a pull failed, before
+    /// the closing `]}`.
+    pub fn finish(self) -> Result<(), TraceIoError> {
+        match self.state {
+            State::Done => Ok(()),
+            _ => Err(self.error("trace stream ended before the closing \"]}\"")),
+        }
+    }
+
+    fn fail(&mut self, e: JsonError) -> TraceIoError {
+        self.state = State::Failed;
+        self.json
+            .take_io_error()
+            .map_or(TraceIoError::Parse(e), TraceIoError::Io)
+    }
+
+    fn pull(&mut self) -> Result<Option<RequestSpec>, JsonError> {
+        let json = &mut self.json;
+        let more = match self.state {
+            State::Done | State::Failed => return Ok(None),
+            State::First => !json.eat(b']')?,
+            State::Next => json.more(b']', "request")?,
+        };
+        if !more {
+            json.expect(b'}')?;
+            json.end()?;
+            self.state = State::Done;
+            return Ok(None);
+        }
+        self.state = State::Next;
+        let mut spec = RequestSpec::new(0, 0.0, 0.0, 0.0);
+        // Like serde, every field must be present exactly once: a request
+        // with silently-defaulted zero work would corrupt replays.
+        let seen = json.object("request", &FIELDS, |json, i| {
+            match i {
+                0 => spec.id = json.uint()?,
+                1 => spec.arrival = json.f64()?,
+                2 => spec.compute_cycles = json.f64()?,
+                3 => spec.membound_time = json.f64()?,
+                _ => spec.class = json.uint()?,
+            }
+            Ok(())
+        })?;
+        json.check_fields("request", &FIELDS, seen, &FIELDS)?;
+        Ok(Some(spec))
+    }
+}
+
+impl<R: Read> Iterator for TraceReader<R> {
+    type Item = Result<RequestSpec, TraceIoError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.pull().map_err(|e| self.fail(e)).transpose()
+    }
+}
+
+fn read_all(input: impl Read) -> Result<Trace, TraceIoError> {
+    Ok(Trace::new(
+        TraceReader::new(input)?.collect::<Result<_, _>>()?,
+    ))
+}
+
+fn write_all<W: Write>(out: W, trace: &Trace) -> std::io::Result<W> {
+    let mut writer = TraceWriter::new(out)?;
+    for r in trace.requests() {
+        writer.write(r)?;
+    }
+    writer.finish()
 }
 
 /// Serializes a trace to a JSON string.
 pub fn to_json(trace: &Trace) -> String {
-    let mut out = String::with_capacity(64 * trace.len() + 16);
-    out.push_str("{\"requests\":[");
-    for (i, r) in trace.requests().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // `{:e}` prints the shortest-roundtrip mantissa, so values survive a
-        // write/read cycle bit-exactly.
-        out.push_str(&format!(
-            "{{\"id\":{},\"arrival\":{:e},\"compute_cycles\":{:e},\
-             \"membound_time\":{:e},\"class\":{}}}",
-            r.id, r.arrival, r.compute_cycles, r.membound_time, r.class
-        ));
-    }
-    out.push_str("]}");
-    out
+    let bytes = write_all(Vec::with_capacity(64 * trace.len() + 16), trace)
+        .expect("writing to a Vec cannot fail");
+    String::from_utf8(bytes).expect("the trace writer emits ASCII")
 }
 
 /// Parses a trace from a JSON string.
@@ -101,16 +271,7 @@ pub fn to_json(trace: &Trace) -> String {
 ///
 /// Returns [`TraceIoError::Parse`] if the string is not a valid trace.
 pub fn from_json(json: &str) -> Result<Trace, TraceIoError> {
-    let mut p = Parser {
-        bytes: json.as_bytes(),
-        pos: 0,
-    };
-    let trace = p.parse_trace()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing data after trace").into());
-    }
-    Ok(trace)
+    read_all(json.as_bytes())
 }
 
 /// Writes a trace to a JSON file.
@@ -119,9 +280,7 @@ pub fn from_json(json: &str) -> Result<Trace, TraceIoError> {
 ///
 /// Returns [`TraceIoError::Io`] if the file cannot be written.
 pub fn save<P: AsRef<Path>>(trace: &Trace, path: P) -> Result<(), TraceIoError> {
-    let file = File::create(path)?;
-    let mut writer = BufWriter::new(file);
-    writer.write_all(to_json(trace).as_bytes())?;
+    write_all(BufWriter::new(File::create(path)?), trace)?;
     Ok(())
 }
 
@@ -132,191 +291,7 @@ pub fn save<P: AsRef<Path>>(trace: &Trace, path: P) -> Result<(), TraceIoError> 
 /// Returns [`TraceIoError::Io`] if the file cannot be read and
 /// [`TraceIoError::Parse`] if it is not a valid trace.
 pub fn load<P: AsRef<Path>>(path: P) -> Result<Trace, TraceIoError> {
-    let file = File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut contents = String::new();
-    reader.read_to_string(&mut contents)?;
-    from_json(&contents)
-}
-
-/// A minimal recursive-descent parser for the trace schema. Field order
-/// within a request object is arbitrary; unknown fields are rejected (they
-/// would indicate a schema mismatch, not a newer writer).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, message: &str) -> JsonError {
-        JsonError {
-            message: message.to_string(),
-            offset: self.pos,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), JsonError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'\\' {
-                return Err(self.error("escape sequences are not used by trace files"));
-            }
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("invalid UTF-8 in string"))?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(self.error("unterminated string"))
-    }
-
-    /// Scans a numeric token and returns it as a string slice; field-typed
-    /// parsing happens at the call site.
-    fn number_token(&mut self) -> Result<&str, JsonError> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("expected a number"))
-    }
-
-    fn parse_f64(&mut self) -> Result<f64, JsonError> {
-        // Rust's parser maps out-of-range literals to ±inf; a trace with
-        // infinite work or arrival times would silently poison every
-        // downstream latency computation, so reject non-finite here.
-        let parsed = self.number_token()?.parse::<f64>().ok();
-        match parsed {
-            Some(v) if v.is_finite() => Ok(v),
-            _ => Err(self.error("expected a finite number")),
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, JsonError> {
-        let parsed = self.number_token()?.parse::<u64>().ok();
-        parsed.ok_or_else(|| self.error("expected a non-negative integer"))
-    }
-
-    fn parse_u32(&mut self) -> Result<u32, JsonError> {
-        let parsed = self.number_token()?.parse::<u32>().ok();
-        parsed.ok_or_else(|| self.error("expected a non-negative integer"))
-    }
-
-    fn parse_request(&mut self) -> Result<RequestSpec, JsonError> {
-        self.expect(b'{')?;
-        let mut spec = RequestSpec::new(0, 0.0, 0.0, 0.0);
-        // Like serde, every field must be present exactly once: a request
-        // with silently-defaulted zero work would corrupt replays.
-        let mut seen = [false; 5];
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let slot = match key.as_str() {
-                "id" => {
-                    spec.id = self.parse_u64()?;
-                    0
-                }
-                "arrival" => {
-                    spec.arrival = self.parse_f64()?;
-                    1
-                }
-                "compute_cycles" => {
-                    spec.compute_cycles = self.parse_f64()?;
-                    2
-                }
-                "membound_time" => {
-                    spec.membound_time = self.parse_f64()?;
-                    3
-                }
-                "class" => {
-                    spec.class = self.parse_u32()?;
-                    4
-                }
-                _ => return Err(self.error(&format!("unknown request field \"{key}\""))),
-            };
-            if seen[slot] {
-                return Err(self.error(&format!("duplicate request field \"{key}\"")));
-            }
-            seen[slot] = true;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    if let Some(missing) = seen.iter().position(|&s| !s) {
-                        const FIELDS: [&str; 5] =
-                            ["id", "arrival", "compute_cycles", "membound_time", "class"];
-                        return Err(
-                            self.error(&format!("missing request field \"{}\"", FIELDS[missing]))
-                        );
-                    }
-                    return Ok(spec);
-                }
-                _ => return Err(self.error("expected ',' or '}' in request object")),
-            }
-        }
-    }
-
-    fn parse_trace(&mut self) -> Result<Trace, JsonError> {
-        self.expect(b'{')?;
-        let key = self.parse_string()?;
-        if key != "requests" {
-            return Err(self.error("expected a \"requests\" field"));
-        }
-        self.expect(b':')?;
-        self.expect(b'[')?;
-        let mut requests = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-        } else {
-            loop {
-                requests.push(self.parse_request()?);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.error("expected ',' or ']' in request array")),
-                }
-            }
-        }
-        self.expect(b'}')?;
-        Ok(Trace::new(requests))
-    }
+    read_all(File::open(path)?)
 }
 
 #[cfg(test)]
